@@ -62,8 +62,9 @@ int Main(int argc, char** argv) {
               "narrows");
   PrintRow({"buckets_total", "mode", "insert_Mops", "lock_conflicts"});
 
-  // Many workers so warps genuinely interleave even on small hosts.
-  gpusim::Grid grid(16);
+  // Many workers by default so warps genuinely interleave even on small
+  // hosts; --threads overrides.
+  gpusim::Grid grid(args.threads != 0 ? args.threads : 16);
   // One fixed op stream; contention rises as the bucket count shrinks
   // (the ops fit the smallest configuration at theta ~0.55).
   const uint64_t smallest_capacity =

@@ -33,6 +33,7 @@
 #include "common/logging.h"
 #include "common/status.h"
 #include "common/timer.h"
+#include "gpusim/grid.h"
 #include "workload/dataset.h"
 #include "workload/dynamic_workload.h"
 
@@ -68,6 +69,7 @@ struct BenchArgs {
       std::fprintf(stderr, "--scale must be in (0, 1]\n");
       std::exit(2);
     }
+    gpusim::Grid::SetGlobalThreads(args.threads);
     return args;
   }
 };

@@ -1,6 +1,7 @@
 #include "gpusim/grid.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.h"
 #include "gpusim/fault_injector.h"
@@ -17,6 +18,8 @@ unsigned DefaultThreads() {
   // lock-conflict behaviour the paper studies) actually occur.
   return std::max(4u, std::min(hw, 16u));
 }
+
+std::atomic<unsigned> global_threads{0};
 }  // namespace
 
 Grid::Grid(unsigned num_threads) : Grid(GridOptions{num_threads, false, {}}) {}
@@ -48,8 +51,13 @@ Grid::~Grid() {
 }
 
 Grid* Grid::Global() {
-  static Grid* grid = new Grid();  // leaked intentionally: outlives statics
+  // Leaked intentionally: outlives statics.
+  static Grid* grid = new Grid(global_threads.load(std::memory_order_relaxed));
   return grid;
+}
+
+void Grid::SetGlobalThreads(unsigned num_threads) {
+  global_threads.store(num_threads, std::memory_order_relaxed);
 }
 
 void Grid::LaunchWarps(uint64_t num_warps,

@@ -58,6 +58,10 @@ class Grid {
   /// Process-global grid used when a table is not given its own.
   static Grid* Global();
 
+  /// Worker count for Global(); takes effect only if called before the
+  /// first Global().  0 picks the default.
+  static void SetGlobalThreads(unsigned num_threads);
+
   /// Runs body(warp_id) for warp_id in [0, num_warps), distributing warps
   /// dynamically over the workers.  Blocks until every warp finished.
   /// Thread-safe: concurrent callers (e.g. several tables sharing one

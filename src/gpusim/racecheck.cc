@@ -485,8 +485,7 @@ void RaceCheck::RecordFinding(FindingKind kind, const std::string& tag,
   finding.launch = launch;
   finding.detail = detail;
   state_->findings.emplace(std::move(key), std::move(finding));
-  SimCounters::Get().racecheck_findings.fetch_add(1,
-                                                  std::memory_order_relaxed);
+  CountRacecheckFinding();
 }
 
 namespace {

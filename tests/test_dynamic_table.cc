@@ -251,7 +251,9 @@ TEST(DynamicTableTest, ModelBasedRandomOperations) {
     uint32_t expect_v = 0;
     bool expect_hit = model.Find(universe[i], &expect_v);
     ASSERT_EQ(found[i] != 0, expect_hit) << "key " << universe[i];
-    if (expect_hit) ASSERT_EQ(out[i], expect_v);
+    if (expect_hit) {
+      ASSERT_EQ(out[i], expect_v);
+    }
   }
 }
 

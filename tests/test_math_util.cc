@@ -34,7 +34,9 @@ TEST_P(NextPowerOfTwoPropertyTest, ResultIsSmallestCoveringPower) {
   uint64_t p = NextPowerOfTwo(x);
   EXPECT_TRUE(IsPowerOfTwo(p));
   EXPECT_GE(p, x);
-  if (p > 1) EXPECT_LT(p / 2, x);
+  if (p > 1) {
+    EXPECT_LT(p / 2, x);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Values, NextPowerOfTwoPropertyTest,

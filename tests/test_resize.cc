@@ -248,7 +248,9 @@ TEST_P(ResizeBoundsTest, ThetaStaysWithinConfiguredBand) {
     size_t del = rng.NextBounded(live.size() / 2 + 1);
     std::vector<uint32_t> dels(live.end() - del, live.end());
     live.resize(live.size() - del);
-    if (!dels.empty()) ASSERT_TRUE(t->BulkErase(dels).ok());
+    if (!dels.empty()) {
+      ASSERT_TRUE(t->BulkErase(dels).ok());
+    }
 
     if (t->size() > 0) {
       EXPECT_LE(t->filled_factor(), beta + 1e-9) << "round " << round;

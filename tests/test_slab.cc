@@ -168,7 +168,9 @@ TEST(SlabTest, ModelBasedChurn) {
     uint32_t mv = 0;
     bool hit = model.Find(universe[i], &mv);
     ASSERT_EQ(found[i] != 0, hit) << universe[i];
-    if (hit) ASSERT_EQ(out[i], mv);
+    if (hit) {
+      ASSERT_EQ(out[i], mv);
+    }
   }
 }
 
