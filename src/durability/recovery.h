@@ -5,9 +5,24 @@
 //   1. scan the checkpoint stream for the newest entry whose frame and CRC
 //      are intact (falling back to older entries, then to an empty table);
 //   2. validate the WAL header and replay the suffix of records with
-//      lsn > checkpoint_lsn, in LSN order, stopping at the last intact
-//      record (inserts are upserts and erases are idempotent, so replaying
-//      a record whose effect the checkpoint already contains is harmless);
+//      lsn > checkpoint_lsn, stopping at the last intact record.  Replay
+//      runs chunk by chunk, in two phases per chunk of up to kReplayChunk
+//      insert/erase records:
+//        a. scan: check every record exactly as it is read (LSN contiguity,
+//           framing, payload shape) and fold it into the chunk's *last
+//           action per key* (WriteFold).  The WAL records writes in
+//           admission order, so the last record of a key is the one the
+//           server's state reflects;
+//        b. apply: land the folded chunk with a few bulk launches (erases,
+//           then update-only upserts, then new-key inserts; see
+//           dycuckoo/write_fold.h), chunks in LSN order.
+//      This equals replaying record by record: inserts are upserts, erases
+//      are idempotent, and the bulk calls' key sets are disjoint, so only
+//      each key's last record decides its final state.  For the same
+//      reasons, replaying a record whose effect the checkpoint already
+//      contains is harmless.  A chunk that fails any check returns its
+//      error before it touches the table, and a failing bulk call (the
+//      post-erase resize included) fails the recovery;
 //   3. distinguish a *torn tail* (the log simply stops mid-record — the
 //      expected shape after a crash during a group commit; the partial
 //      record was never acknowledged, so it is counted and discarded) from
@@ -16,7 +31,8 @@
 //      silently skipped).
 //
 // The returned RecoveryReport is deterministic: two recoveries of the same
-// byte images produce identical reports (compare with Digest()).
+// byte images produce identical reports (compare with Digest()).  Its
+// counters are per record, not per folded key.
 
 #ifndef DYCUCKOO_DURABILITY_RECOVERY_H_
 #define DYCUCKOO_DURABILITY_RECOVERY_H_
@@ -33,6 +49,7 @@
 #include "durability/checkpoint.h"
 #include "durability/log_format.h"
 #include "dycuckoo/dynamic_table.h"
+#include "dycuckoo/write_fold.h"
 
 namespace dycuckoo {
 namespace durability {
@@ -129,6 +146,9 @@ struct [[nodiscard]] RecoveryReport {
 
 namespace internal {
 
+/// Insert/erase records folded per replay chunk (see the file comment).
+inline constexpr uint64_t kReplayChunk = 1 << 16;
+
 inline std::string DrainStream(std::istream& is) {
   std::ostringstream out;
   out << is.rdbuf();
@@ -199,7 +219,7 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
   }
   report->checkpoint_lsn = checkpoint_lsn;
 
-  // --- 2. WAL replay ------------------------------------------------------
+  // --- 2. WAL replay: fold each chunk, then apply it in bulk --------------
   if (!wal_image.empty()) {
     WalFileHeader header;
     if (ParseWalFileHeader(wal_image.data(), wal_image.size(), &header) !=
@@ -217,6 +237,28 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
           "(need lsn " + std::to_string(checkpoint_lsn + 1) +
           ", log starts at " + std::to_string(header.first_lsn) + ")");
     }
+    WriteFold<Key, Value> fold;
+    uint64_t folded = 0;  // insert/erase records in `fold`
+    uint64_t chunk_first_lsn = 0;
+    uint64_t chunk_last_lsn = 0;
+    auto fold_record = [&](uint64_t lsn) {
+      if (folded++ == 0) chunk_first_lsn = lsn;
+      chunk_last_lsn = lsn;
+      ++report->wal_records_applied;
+    };
+    auto apply_chunk = [&]() -> Status {
+      if (folded == 0) return Status::OK();
+      Status st = fold.ApplyTo(table.get());
+      if (!st.ok()) {
+        return Status::Internal(
+            "recovery: replay of WAL records at lsn " +
+            std::to_string(chunk_first_lsn) + ".." +
+            std::to_string(chunk_last_lsn) + " failed: " + st.ToString());
+      }
+      fold.Clear();
+      folded = 0;
+      return Status::OK();
+    };
     size_t offset = kWalFileHeaderBytes;
     uint64_t expected_lsn = header.first_lsn;
     while (offset < wal_image.size()) {
@@ -241,9 +283,9 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
       expected_lsn = rec.lsn + 1;
       ++report->wal_records_scanned;
       report->last_lsn = rec.lsn;
+      offset += rec.frame_len;
       if (rec.lsn <= checkpoint_lsn) {
         ++report->wal_records_skipped;
-        offset += rec.frame_len;
         continue;
       }
       switch (rec.type) {
@@ -255,13 +297,13 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
           Value v;
           std::memcpy(&k, rec.payload, sizeof(Key));
           std::memcpy(&v, rec.payload + sizeof(Key), sizeof(Value));
-          Status st = table->Insert(k, v);
-          if (!st.ok()) {
-            return Status::Internal("recovery: replay of insert at lsn " +
-                                    std::to_string(rec.lsn) +
-                                    " failed: " + st.ToString());
+          if (k == DynamicTable<Key, Value>::kEmptyKey) {
+            return Status::InvalidArgument(
+                "recovery: insert of the reserved empty key at lsn " +
+                std::to_string(rec.lsn));
           }
-          ++report->wal_records_applied;
+          fold.Upsert(k, v);
+          fold_record(rec.lsn);
           break;
         }
         case WalRecordType::kErase: {
@@ -270,8 +312,8 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
           }
           Key k;
           std::memcpy(&k, rec.payload, sizeof(Key));
-          table->Erase(k);  // idempotent; absent key is fine
-          ++report->wal_records_applied;
+          fold.Erase(k);  // idempotent; absent key is fine
+          fold_record(rec.lsn);
           break;
         }
         case WalRecordType::kReshardCutover: {
@@ -290,8 +332,11 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
         case WalRecordType::kCheckpointMark:
           break;  // markers carry no table state
       }
-      offset += rec.frame_len;
+      if (folded == internal::kReplayChunk) {
+        DYCUCKOO_RETURN_NOT_OK(apply_chunk());
+      }
     }
+    DYCUCKOO_RETURN_NOT_OK(apply_chunk());
   }
 
   *out = std::move(table);

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -390,22 +391,25 @@ class DynamicTable {
     if (table->options_.auto_resize) {
       DYCUCKOO_RETURN_NOT_OK(table->Reserve(count));
     }
+    // Each chunk is one read of its interleaved (key, value) bytes and one
+    // CRC update over them, then a split into the BulkInsert columns.
     constexpr uint64_t kChunk = 1 << 16;
+    constexpr size_t kPairBytes = sizeof(Key) + sizeof(Value);
     std::vector<Key> keys(std::min(count, kChunk));
     std::vector<Value> values(keys.size());
+    std::vector<char> staging(keys.size() * kPairBytes);
     uint64_t remaining = count;
     while (remaining > 0) {
       uint64_t n = std::min(remaining, kChunk);
-      for (uint64_t i = 0; i < n; ++i) {
-        is.read(reinterpret_cast<char*>(&keys[i]), sizeof(Key));
-        is.read(reinterpret_cast<char*>(&values[i]), sizeof(Value));
-      }
+      is.read(staging.data(), static_cast<std::streamsize>(n * kPairBytes));
       if (!is.good()) {
         return Status::DataLoss("snapshot corrupt: truncated payload");
       }
+      crc = Crc32Update(crc, staging.data(), n * kPairBytes);
       for (uint64_t i = 0; i < n; ++i) {
-        crc = Crc32Update(crc, &keys[i], sizeof(Key));
-        crc = Crc32Update(crc, &values[i], sizeof(Value));
+        const char* pair = staging.data() + i * kPairBytes;
+        std::memcpy(&keys[i], pair, sizeof(Key));
+        std::memcpy(&values[i], pair + sizeof(Key), sizeof(Value));
       }
       DYCUCKOO_RETURN_NOT_OK(table->BulkInsert(
           std::span<const Key>(keys.data(), n),

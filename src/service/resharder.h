@@ -66,9 +66,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "durability/log_format.h"
 #include "durability/sharded.h"
+#include "dycuckoo/write_fold.h"
 #include "gpusim/fault_injector.h"
 
 namespace dycuckoo {
@@ -226,10 +228,13 @@ class Resharder {
       auto* table = host_->ReshardTable(src);
       auto* mgr = host_->ReshardManager(dst);
       auto pairs = table->Dump();
+      using Pair = typename decltype(pairs)::value_type;
+      WriteFold<typename Pair::first_type, typename Pair::second_type> fold;
       uint64_t copied = 0;
       for (const auto& kv : pairs) {
         if (host_->ReshardRouter()->ChunkOf(kv.first) != c) continue;
         if (mgr != nullptr) mgr->LogInsert(kv.first, kv.second);
+        fold.Upsert(kv.first, kv.second);
         ++copied;
       }
       if (mgr != nullptr && !mgr->Commit().ok()) {
@@ -238,11 +243,10 @@ class Resharder {
         // which the supervision gate turns into a pause.
         return false;
       }
-      auto* target = host_->ReshardTable(dst);
-      for (const auto& kv : pairs) {
-        if (host_->ReshardRouter()->ChunkOf(kv.first) != c) continue;
-        if (!target->Insert(kv.first, kv.second).ok()) return false;
-      }
+      // A retried copy finds some of the chunk's keys already on the
+      // target; the fold's resident/new split keeps those upserts out of
+      // the new-key batch.
+      if (!fold.ApplyTo(host_->ReshardTable(dst)).ok()) return false;
       stats_.keys_copied += copied;
     }
     journal_.chunks[c] = durability::ReshardChunkState::kCopied;
@@ -294,7 +298,13 @@ class Resharder {
         doomed.push_back(kv.first);
       }
       if (mgr != nullptr && !mgr->Commit().ok()) return false;
-      for (const auto& k : doomed) table->Erase(k);
+      Status erased = table->BulkErase(doomed);
+      if (!erased.ok()) {
+        // The pairs are gone; only the post-erase resize failed.
+        DYCUCKOO_LOG(Warning) << "reshard gc of chunk " << c
+                              << ": post-erase maintenance failed: "
+                              << erased.ToString();
+      }
       stats_.keys_gced += doomed.size();
     }
     journal_.chunks[c] = durability::ReshardChunkState::kDone;

@@ -842,7 +842,13 @@ class ShardedTableServer {
         for (const Key& k : doomed) slot.manager->LogErase(k);
         if (!slot.manager->Commit().ok()) continue;  // heal path retries
       }
-      for (const Key& k : doomed) (void)slot.server->table()->Erase(k);
+      Status erased = slot.server->table()->BulkErase(doomed);
+      if (!erased.ok()) {
+        // The keys are gone; only the post-erase resize failed.
+        DYCUCKOO_LOG(Warning) << "rollback sweep of shard " << s
+                              << ": post-erase maintenance failed: "
+                              << erased.ToString();
+      }
       stats_.reshard_rollback_erased.fetch_add(doomed.size(),
                                                std::memory_order_relaxed);
     }

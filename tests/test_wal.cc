@@ -1,10 +1,13 @@
 // Unit tests for the durability subsystem: WAL framing, group commit,
 // head truncation, the checkpoint store, and point-in-time recovery.
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 #include "dycuckoo/dynamic_table.h"
 #include "gpusim/device_arena.h"
 #include "gpusim/fault_injector.h"
+#include "gpusim/grid.h"
+#include "test_util.h"
 
 namespace dycuckoo {
 namespace durability {
@@ -384,6 +389,128 @@ TEST(RecoveryTest, SameImagesProduceIdenticalReports) {
   ASSERT_TRUE(RecoverFromImages("", image, options, &t2, &second).ok());
   EXPECT_EQ(first.Digest(), second.Digest());
   EXPECT_EQ(t1->size(), t2->size());
+}
+
+// Replay equivalence: a checkpoint plus a suffix long enough to span two
+// replay chunks, over a key space small enough that most keys see long
+// insert -> erase -> insert chains, upserts of checkpoint-resident keys and
+// erases of absent keys; the last record is torn.  The recovered contents
+// must equal a record-by-record std::map replay of the same log, on a
+// one-worker and a four-worker grid.  Every report field depends only on
+// the log's shape, never on the seed, so the pinned values (the ones a
+// record-by-record replay reports) hold for any DYCUCKOO_CHAOS_SEED.
+TEST(RecoveryTest, FoldedReplayMatchesSequentialReplay) {
+  const uint64_t seed = testing::ChaosSeedFromEnv(1);
+  SCOPED_TRACE(testing::ChaosReproLine("tests/test_wal", seed));
+  constexpr uint32_t kKeySpace = 2048;
+  constexpr uint32_t kCheckpointKeys = 1024;
+  constexpr uint32_t kSuffixWrites = 70000;  // > one 1 << 16 replay chunk
+  constexpr uint32_t kCutoverAt = 40000;
+
+  DyCuckooOptions build_options;
+  gpusim::DeviceArena build_arena(0);
+  build_options.arena = &build_arena;
+  std::unique_ptr<Table> live;
+  ASSERT_TRUE(Table::Create(build_options, &live).ok());
+  DurabilityOptions dopts;
+  dopts.checkpoint_wal_bytes = 0;
+  dopts.checkpoint_wal_records = 0;  // manual checkpoints only
+  Manager manager(dopts);
+
+  std::map<uint32_t, uint32_t> model;
+  for (uint32_t k = 1; k <= kCheckpointKeys; ++k) {
+    ASSERT_TRUE(live->Insert(k, k * 7).ok());
+    manager.LogInsert(k, k * 7);
+    model[k] = k * 7;
+  }
+  ASSERT_TRUE(manager.Commit().ok());
+  ASSERT_TRUE(manager.CheckpointNow(live.get()).ok());
+
+  SplitMix64 rng(seed);
+  for (uint32_t i = 0; i < kSuffixWrites; ++i) {
+    if (i == kCutoverAt) manager.LogReshardCutover(3, 5, 2, 4);
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.Next() % kKeySpace);
+    if (rng.Next() % 100 < 55) {
+      const uint32_t v = 1000000 + i;  // distinct per record: stale = wrong
+      manager.LogInsert(k, v);
+      model[k] = v;
+    } else {
+      manager.LogErase(k);
+      model.erase(k);
+    }
+  }
+  manager.LogInsert(kKeySpace + 1, 1);  // torn below: never acknowledged
+  ASSERT_TRUE(manager.Commit().ok());
+  std::string wal_image = manager.wal().durable_image();
+  wal_image.resize(wal_image.size() - 3);
+
+  const std::vector<std::pair<uint32_t, uint32_t>> expected(model.begin(),
+                                                            model.end());
+  for (unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("grid workers " + std::to_string(workers));
+    gpusim::Grid grid(workers);
+    gpusim::DeviceArena arena(0);
+    DyCuckooOptions options;
+    options.arena = &arena;
+    options.grid = &grid;
+    std::unique_ptr<Table> recovered;
+    RecoveryReport report;
+    Status st = RecoverFromImages(manager.checkpoints().durable_image(),
+                                  wal_image, options, &recovered, &report);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+
+    auto contents = recovered->Dump();
+    std::sort(contents.begin(), contents.end());
+    EXPECT_EQ(recovered->size(), expected.size());
+    EXPECT_TRUE(contents == expected)
+        << "recovered " << contents.size() << " pairs, sequential replay "
+        << expected.size();
+
+    EXPECT_EQ(report.checkpoint_lsn, 1024u);
+    EXPECT_EQ(report.checkpoints_scanned, 1u);
+    EXPECT_EQ(report.checkpoints_corrupt, 0u);
+    EXPECT_EQ(report.wal_records_scanned, 71026u);
+    EXPECT_EQ(report.wal_records_applied, 70000u);
+    EXPECT_EQ(report.wal_records_skipped, 1024u);
+    EXPECT_EQ(report.last_lsn, 71026u);
+    EXPECT_EQ(report.torn_tail_bytes, kInsertFrameBytes - 3);
+    ASSERT_EQ(report.reshard_cutovers.size(), 1u);
+    EXPECT_EQ(report.reshard_cutovers[0].generation, 3u);
+    EXPECT_EQ(report.reshard_cutovers[0].chunk, 5u);
+    EXPECT_EQ(report.Digest(), 1758647226399057927ull) << report.ToString();
+  }
+}
+
+// Replay that needs the table to grow, with every allocation after the
+// empty table's own failing: the replayed keys do not fit the device
+// memory the table may use, and recovery must report that instead of
+// returning OK.
+TEST(RecoveryTest, AllocFaultDuringReplayFailsRecovery) {
+  Wal wal;
+  for (uint32_t k = 1; k <= 8000; ++k) wal.AppendInsert(k, k);
+  ASSERT_TRUE(wal.Flush().ok());
+
+  gpusim::DeviceArena arena(0);
+  DyCuckooOptions options;
+  options.arena = &arena;
+  options.initial_capacity = 4096;
+  uint64_t create_allocs = 0;
+  {
+    gpusim::ScopedFaultInjection counting(gpusim::FaultInjectorConfig{});
+    std::unique_ptr<Table> probe;
+    ASSERT_TRUE(Table::Create(options, &probe).ok());
+    create_allocs = counting.injector().allocations_seen();
+  }
+  gpusim::FaultInjectorConfig cfg;
+  cfg.fail_after_allocs = static_cast<int64_t>(create_allocs);
+  gpusim::ScopedFaultInjection scoped(cfg);
+  std::unique_ptr<Table> table;
+  RecoveryReport report;
+  Status st =
+      RecoverFromImages("", wal.durable_image(), options, &table, &report);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(table, nullptr);
+  EXPECT_GT(scoped.injector().allocations_failed(), 0u);
 }
 
 }  // namespace
