@@ -1,27 +1,59 @@
 #include "common/hash.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "common/rng.h"
 
 namespace dycuckoo {
 
-uint32_t Crc32Update(uint32_t crc, const void* data, size_t len) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
+namespace {
+
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: table[0] is
+// the classic byte-at-a-time table, and table[s][b] is the CRC of byte b
+// followed by s zero bytes, so eight table lookups advance the CRC by eight
+// input bytes at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    return t;
-  }();
+    t[0][i] = c;
+  }
+  for (size_t s = 1; s < t.size(); ++s) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+}  // namespace
+
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t len) {
+  // The 8-byte step folds the CRC into the low word of a little-endian load.
+  static_assert(std::endian::native == std::endian::little);
+  const auto& t = kCrc32Tables;
   const auto* p = static_cast<const unsigned char*>(data);
   crc ^= 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    word ^= crc;
+    crc = t[7][word & 0xFFu] ^ t[6][(word >> 8) & 0xFFu] ^
+          t[5][(word >> 16) & 0xFFu] ^ t[4][(word >> 24) & 0xFFu] ^
+          t[3][(word >> 32) & 0xFFu] ^ t[2][(word >> 40) & 0xFFu] ^
+          t[1][(word >> 48) & 0xFFu] ^ t[0][word >> 56];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

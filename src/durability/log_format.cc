@@ -33,14 +33,20 @@ uint64_t GetU64(const char* p) {
 
 void AppendFrame(std::string* out, uint64_t lsn, WalRecordType type,
                  const void* payload, size_t payload_len) {
-  std::string body;
-  body.reserve(kWalRecordPrefixBytes + payload_len);
-  PutU64(&body, lsn);
-  body.push_back(static_cast<char>(type));
-  body.append(static_cast<const char*>(payload), payload_len);
-  PutU32(out, static_cast<uint32_t>(body.size()));
-  PutU32(out, Crc32Update(0, body.data(), body.size()));
-  out->append(body);
+  // Built in place at the end of `out`: body first, then the header that
+  // carries the body's length and CRC.
+  const auto body_len =
+      static_cast<uint32_t>(kWalRecordPrefixBytes + payload_len);
+  const size_t start = out->size();
+  out->resize(start + kWalFrameHeaderBytes + body_len);
+  char* frame = out->data() + start;
+  char* body = frame + kWalFrameHeaderBytes;
+  std::memcpy(body, &lsn, sizeof(lsn));
+  body[8] = static_cast<char>(type);
+  std::memcpy(body + kWalRecordPrefixBytes, payload, payload_len);
+  const uint32_t crc = Crc32Update(0, body, body_len);
+  std::memcpy(frame, &body_len, sizeof(body_len));
+  std::memcpy(frame + 4, &crc, sizeof(crc));
 }
 
 ParseResult ParseFrame(const char* data, size_t avail, ParsedRecord* rec) {

@@ -133,7 +133,7 @@ struct WalFileHeader {
   uint64_t first_lsn = 0;
 };
 
-/// Appends one framed record to `out`.
+/// Appends one framed record to `out`, writing it in place (no temporary).
 void AppendFrame(std::string* out, uint64_t lsn, WalRecordType type,
                  const void* payload, size_t payload_len);
 

@@ -92,7 +92,8 @@ class WalWriter {
   /// (possibly torn or bit-flipped) is persisted and the writer goes dead.
   Status Flush() {
     if (dead_) return CrashedStatus();
-    if (pending_.empty()) return Status::OK();
+    const size_t records = pending_ends_.size();
+    if (records == 0) return Status::OK();
     auto* injector = gpusim::FaultInjector::Active();
     if (injector && injector->OnKillPoint(ScopedName("wal.commit.before"))) {
       dead_ = true;
@@ -106,19 +107,20 @@ class WalWriter {
         ++flush_failures_;
         return Status::Internal(
             "wal: group commit flush failed (injected); " +
-            std::to_string(pending_.size()) + " records retained for retry");
+            std::to_string(records) + " records retained for retry");
       case gpusim::IoWriteFault::kShortWrite: {
         // A prefix of the batch reaches the log, cut at a record boundary.
-        PersistPrefix(injector->NextDraw(/*stream=*/5) % pending_.size());
+        PersistPrefix(injector->NextDraw(/*stream=*/5) % records);
         dead_ = true;
         return CrashedStatus();
       }
       case gpusim::IoWriteFault::kTornWrite: {
-        size_t keep = injector->NextDraw(/*stream=*/5) % pending_.size();
+        size_t keep = injector->NextDraw(/*stream=*/5) % records;
         PersistPrefix(keep);
-        const std::string& torn = pending_[keep];
-        size_t cut = 1 + injector->NextDraw(/*stream=*/6) % (torn.size() - 1);
-        durable_.append(torn.data(), cut);
+        const size_t torn_start = FrameStart(keep);
+        const size_t torn_size = pending_ends_[keep] - torn_start;
+        size_t cut = 1 + injector->NextDraw(/*stream=*/6) % (torn_size - 1);
+        durable_.append(pending_, torn_start, cut);
         dead_ = true;
         return CrashedStatus();
       }
@@ -126,11 +128,8 @@ class WalWriter {
         // The full batch reaches the log, but one bit of the final record
         // is corrupted in flight; the process dies before acking, so the
         // damage is confined to never-acknowledged records at the tail.
-        size_t last_start = durable_.size();
-        for (size_t i = 0; i + 1 < pending_.size(); ++i) {
-          last_start += pending_[i].size();
-        }
-        PersistPrefix(pending_.size());
+        size_t last_start = durable_.size() + FrameStart(records - 1);
+        PersistPrefix(records);
         uint64_t bit = injector->NextDraw(/*stream=*/7) %
                        ((durable_.size() - last_start) * 8);
         durable_[last_start + bit / 8] ^= static_cast<char>(1u << (bit % 8));
@@ -141,13 +140,13 @@ class WalWriter {
         break;
     }
     if (injector && injector->OnKillPoint(ScopedName("wal.commit.mid"))) {
-      PersistPrefix((pending_.size() + 1) / 2);
+      PersistPrefix((records + 1) / 2);
       dead_ = true;
       return CrashedStatus();
     }
-    size_t records = pending_.size();
     size_t bytes = PersistPrefix(records);
     pending_.clear();
+    pending_ends_.clear();
     ++flushes_;
     records_flushed_ += records;
     bytes_flushed_ += bytes;
@@ -209,7 +208,7 @@ class WalWriter {
 
   uint64_t next_lsn() const { return next_lsn_; }
   uint64_t durable_lsn() const { return durable_lsn_; }
-  size_t pending_records() const { return pending_.size(); }
+  size_t pending_records() const { return pending_ends_.size(); }
   uint64_t durable_bytes() const { return durable_.size(); }
   uint64_t flushes() const { return flushes_; }
   uint64_t flush_failures() const { return flush_failures_; }
@@ -234,29 +233,34 @@ class WalWriter {
 
   uint64_t AppendRecord(WalRecordType type, const void* payload, size_t len) {
     uint64_t lsn = next_lsn_++;
-    std::string frame;
-    AppendFrame(&frame, lsn, type, payload, len);
-    pending_.push_back(std::move(frame));
+    AppendFrame(&pending_, lsn, type, payload, len);
+    pending_ends_.push_back(pending_.size());
     return lsn;
   }
 
-  /// Moves the first `count` pending records into the durable image.
-  /// Returns the bytes appended.  Does not clear `pending_` (crash paths
-  /// leave it as the abandoned in-flight state).
+  /// Offset of pending record `i`'s frame within `pending_`.
+  size_t FrameStart(size_t i) const {
+    return i == 0 ? 0 : pending_ends_[i - 1];
+  }
+
+  /// Moves the first `count` pending records into the durable image as one
+  /// byte range.  Returns the bytes appended.  Does not clear `pending_`
+  /// (crash paths leave it as the abandoned in-flight state).
   size_t PersistPrefix(size_t count) {
-    size_t bytes = 0;
-    for (size_t i = 0; i < count; ++i) {
-      durable_ += pending_[i];
-      bytes += pending_[i].size();
-      ++durable_lsn_;
-    }
+    const size_t bytes = FrameStart(count);
+    durable_.append(pending_, 0, bytes);
+    durable_lsn_ += count;
     return bytes;
   }
 
   std::string scope_;
   std::string scoped_name_;  // scratch for ScopedName (avoids reallocating)
   std::string durable_;
-  std::vector<std::string> pending_;  // framed records awaiting group commit
+  // Framed records awaiting group commit, back to back, and the end offset
+  // of each frame.  Both keep their capacity across commits, so appending
+  // a record allocates nothing in the steady state.
+  std::string pending_;
+  std::vector<size_t> pending_ends_;
   uint64_t next_lsn_;
   uint64_t durable_lsn_;
   bool dead_ = false;

@@ -334,17 +334,29 @@ class DynamicTable {
     uint32_t crc = Crc32Update(0, &header[1], 4 * sizeof(uint64_t));
     if (os.good()) {
       bytes_written += sizeof(header);
-      // Abort the walk on the first failed write instead of streaming the
-      // rest of the table into a dead stream.
-      ForEachUntil([&](Key k, Value v) {
-        os.write(reinterpret_cast<const char*>(&k), sizeof(Key));
-        os.write(reinterpret_cast<const char*>(&v), sizeof(Value));
+      // Pairs are staged into chunks of up to kSnapshotChunkPairs; each
+      // chunk is one write and one CRC update.  Abort the walk on the
+      // first failed write instead of streaming the rest of the table into
+      // a dead stream.
+      std::vector<char> staging(
+          std::clamp<uint64_t>(size(), 1, kSnapshotChunkPairs) * kPairBytes);
+      size_t staged = 0;
+      auto write_staged = [&] {
+        os.write(staging.data(), static_cast<std::streamsize>(staged));
         if (!os.good()) return false;
-        bytes_written += sizeof(Key) + sizeof(Value);
-        crc = Crc32Update(crc, &k, sizeof(Key));
-        crc = Crc32Update(crc, &v, sizeof(Value));
+        bytes_written += staged;
+        crc = Crc32Update(crc, staging.data(), staged);
+        staged = 0;
+        return true;
+      };
+      ForEachUntil([&](Key k, Value v) {
+        if (staged == staging.size() && !write_staged()) return false;
+        std::memcpy(staging.data() + staged, &k, sizeof(Key));
+        std::memcpy(staging.data() + staged + sizeof(Key), &v, sizeof(Value));
+        staged += kPairBytes;
         return true;
       });
+      if (os.good()) write_staged();
     }
     if (!os.good()) {
       return Status::Internal("snapshot write failed after " +
@@ -393,14 +405,12 @@ class DynamicTable {
     }
     // Each chunk is one read of its interleaved (key, value) bytes and one
     // CRC update over them, then a split into the BulkInsert columns.
-    constexpr uint64_t kChunk = 1 << 16;
-    constexpr size_t kPairBytes = sizeof(Key) + sizeof(Value);
-    std::vector<Key> keys(std::min(count, kChunk));
+    std::vector<Key> keys(std::min(count, kSnapshotChunkPairs));
     std::vector<Value> values(keys.size());
     std::vector<char> staging(keys.size() * kPairBytes);
     uint64_t remaining = count;
     while (remaining > 0) {
-      uint64_t n = std::min(remaining, kChunk);
+      uint64_t n = std::min(remaining, kSnapshotChunkPairs);
       is.read(staging.data(), static_cast<std::streamsize>(n * kPairBytes));
       if (!is.good()) {
         return Status::DataLoss("snapshot corrupt: truncated payload");
@@ -1219,6 +1229,11 @@ class DynamicTable {
   /// Version-2 snapshot magic (format-version field + CRC-32 trailer).
   static constexpr uint64_t kSnapshotMagicV2 = 0xD1C0CC00'5A4B1706ULL;
   static constexpr uint64_t kSnapshotFormatVersion = 2;
+  /// Save and Load move snapshot pairs in chunks of at most this many, one
+  /// stream call and one CRC update per chunk.
+  static constexpr uint64_t kSnapshotChunkPairs = 1 << 16;
+  /// Bytes of one interleaved (key, value) snapshot pair.
+  static constexpr size_t kPairBytes = sizeof(Key) + sizeof(Value);
   /// A committing downsize may park at most this many unplaceable residuals
   /// in the stash; beyond it the whole downsize rolls back instead.
   static constexpr uint64_t kMaxDownsizeSpill = 64;
@@ -1241,12 +1256,11 @@ class DynamicTable {
     if (table->options_.auto_resize) {
       DYCUCKOO_RETURN_NOT_OK(table->Reserve(count));
     }
-    constexpr uint64_t kChunk = 1 << 16;
-    std::vector<Key> keys(std::min(count, kChunk));
+    std::vector<Key> keys(std::min(count, kSnapshotChunkPairs));
     std::vector<Value> values(keys.size());
     uint64_t remaining = count;
     while (remaining > 0) {
-      uint64_t n = std::min(remaining, kChunk);
+      uint64_t n = std::min(remaining, kSnapshotChunkPairs);
       for (uint64_t i = 0; i < n; ++i) {
         is.read(reinterpret_cast<char*>(&keys[i]), sizeof(Key));
         is.read(reinterpret_cast<char*>(&values[i]), sizeof(Value));

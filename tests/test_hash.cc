@@ -1,11 +1,15 @@
 #include "common/hash.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace dycuckoo {
 namespace {
@@ -146,6 +150,60 @@ TEST(Crc32Test, KnownAnswerAndIncrementalComposition) {
 
   EXPECT_EQ(Crc32Update(0, "", 0), 0u);
   EXPECT_NE(Crc32Update(0, "a", 1), Crc32Update(0, "b", 1));
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven Crc32Update must match on every input.
+uint32_t ReferenceCrc32(uint32_t crc, const unsigned char* p, size_t len) {
+  crc = ~crc;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = size_t{64} << 10;
+  const auto bytes = RandomBytes(kMaxLen + 8, 2024);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = bytes.data() + offset;
+    for (size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(Crc32Update(0, p, len), ReferenceCrc32(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+    for (size_t len : {size_t{1000}, size_t{4095}, size_t{4096},
+                       size_t{4097}, kMaxLen - 1, kMaxLen}) {
+      ASSERT_EQ(Crc32Update(0, p, len), ReferenceCrc32(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, RandomIncrementalSplitsMatchOneShot) {
+  const auto bytes = RandomBytes(4096, 7);
+  const uint32_t whole = ReferenceCrc32(0, bytes.data(), bytes.size());
+  SplitMix64 rng(99);
+  for (int round = 0; round < 200; ++round) {
+    // Piece lengths 0..19 straddle the 8-byte stride from every phase.
+    uint32_t crc = 0;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      size_t n = std::min<size_t>(rng.Next() % 20, bytes.size() - at);
+      crc = Crc32Update(crc, bytes.data() + at, n);
+      at += n;
+    }
+    ASSERT_EQ(crc, whole) << "round " << round;
+  }
 }
 
 TEST(MixHashTest, PowerOfTwoSplitIdentity) {

@@ -1,13 +1,19 @@
 // Tests for Save/Load snapshots.
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "dycuckoo/dycuckoo.h"
 #include "gpusim/device_arena.h"
+#include "gpusim/grid.h"
 #include "test_util.h"
 
 namespace dycuckoo {
@@ -295,6 +301,97 @@ TEST(SerializationTest, SixtyFourBitRoundTrip) {
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_TRUE(found[i]);
     ASSERT_EQ(out[i], values[i]);
+  }
+}
+
+// 100K pairs: Save stages pairs in chunks of 64K, so this snapshot spans a
+// chunk boundary.  A one-worker grid makes the bucket layout, and so the
+// pair order, deterministic.
+constexpr uint64_t kTwoChunkPairs = 100000;
+constexpr size_t kSnapshotHeaderBytes = 5 * sizeof(uint64_t);
+constexpr size_t kPairBytes = 2 * sizeof(uint32_t);
+
+std::unique_ptr<DyCuckooMap> TwoChunkTable(gpusim::Grid* grid) {
+  DyCuckooOptions o;
+  o.grid = grid;
+  std::unique_ptr<DyCuckooMap> t;
+  EXPECT_TRUE(DyCuckooMap::Create(o, &t).ok());
+  auto keys = UniqueKeys(kTwoChunkPairs, 21);
+  EXPECT_TRUE(t->BulkInsert(keys, SequentialValues(keys.size())).ok());
+  return t;
+}
+
+TEST(SerializationTest, MultiChunkSnapshotBytesArePinned) {
+  gpusim::Grid grid(1);
+  auto t = TwoChunkTable(&grid);
+  ASSERT_EQ(t->size(), kTwoChunkPairs);
+  std::stringstream ss;
+  ASSERT_TRUE(t->Save(ss).ok());
+  const std::string data = ss.str();
+  ASSERT_EQ(data.size(),
+            kSnapshotHeaderBytes + kTwoChunkPairs * kPairBytes + 4);
+  // Pinned: the snapshot bytes, pair order included, must not change.
+  EXPECT_EQ(Crc32Update(0, data.data(), data.size()), 0x4bedd15eu);
+
+  std::unique_ptr<DyCuckooMap> restored;
+  ASSERT_TRUE(DyCuckooMap::Load(ss, DyCuckooOptions{}, &restored).ok());
+  EXPECT_EQ(restored->size(), kTwoChunkPairs);
+}
+
+// Accepts the first `limit` bytes, then fails every write.  Keeps the bytes
+// it accepted and counts the writes offered after the first failure.
+class FailAfterBuf : public std::streambuf {
+ public:
+  explicit FailAfterBuf(size_t limit) : limit_(limit) {}
+  const std::string& accepted() const { return accepted_; }
+  int writes_after_failure() const { return writes_after_failure_; }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    if (failed_) ++writes_after_failure_;
+    const size_t take =
+        std::min(static_cast<size_t>(n), limit_ - accepted_.size());
+    accepted_.append(s, take);
+    if (take < static_cast<size_t>(n)) failed_ = true;
+    return static_cast<std::streamsize>(take);
+  }
+
+ private:
+  size_t limit_;
+  std::string accepted_;
+  bool failed_ = false;
+  int writes_after_failure_ = 0;
+};
+
+TEST(SerializationTest, SaveStopsAtFirstFailedWrite) {
+  gpusim::Grid grid(1);
+  auto t = TwoChunkTable(&grid);
+  std::stringstream good;
+  ASSERT_TRUE(t->Save(good).ok());
+  const std::string full = good.str();
+
+  // Fail inside the header, inside the first chunk, inside the second.
+  const size_t in_first = kSnapshotHeaderBytes + 1000 * kPairBytes + 3;
+  const size_t in_second =
+      kSnapshotHeaderBytes + ((1u << 16) + 5000) * kPairBytes + 5;
+  for (size_t limit : {size_t{20}, in_first, in_second}) {
+    SCOPED_TRACE("fail after " + std::to_string(limit) + " bytes");
+    FailAfterBuf buf(limit);
+    std::ostream os(&buf);
+    Status st = t->Save(os);
+    ASSERT_TRUE(st.IsInternal()) << st.ToString();
+    // Nothing reaches storage after the failure, the CRC trailer included,
+    // and what did reach it is a prefix of the good snapshot.
+    EXPECT_EQ(buf.writes_after_failure(), 0);
+    EXPECT_EQ(buf.accepted().size(), limit);
+    EXPECT_EQ(full.compare(0, limit, buf.accepted()), 0);
+    // The reported byte count never claims more than storage took.
+    const std::string kPrefix = "snapshot write failed after ";
+    const size_t at = st.message().find(kPrefix);
+    ASSERT_NE(at, std::string::npos) << st.ToString();
+    const uint64_t reported =
+        std::strtoull(st.message().c_str() + at + kPrefix.size(), nullptr, 10);
+    EXPECT_LE(reported, limit);
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "durability/checkpoint.h"
 #include "durability/log_format.h"
 #include "durability/manager.h"
@@ -124,6 +125,94 @@ TEST(WalWriterTest, CleanFlushFailureRetainsRecordsForRetry) {
   // The retry (flush #1, not targeted) succeeds and loses nothing.
   ASSERT_TRUE(wal.Flush().ok());
   EXPECT_EQ(wal.durable_lsn(), 1u);
+}
+
+// One fixed, seeded sequence of about 300 mixed records, group-committed in
+// batches of 1..40, with the writer's crash paths pinned byte for byte.
+// Each injected I/O fault lands on the third group commit (flush #2).  The
+// pinned size and CRC of durable_image() fix exactly which bytes a short,
+// torn, bit-flipped, retried or killed commit leaves behind.
+struct CrashImage {
+  size_t size = 0;
+  uint32_t crc = 0;
+  bool dead = false;
+  uint64_t durable_lsn = 0;
+  uint64_t flush_failures = 0;
+};
+
+CrashImage RunMixedSequence(const gpusim::FaultInjectorConfig& cfg) {
+  gpusim::ScopedFaultInjection scoped(cfg);
+  Wal wal;
+  SplitMix64 rng(0xC0FFEE);
+  constexpr int kRecords = 300;
+  int appended = 0;
+  while (appended < kRecords && !wal.dead()) {
+    const int batch = 1 + static_cast<int>(rng.Next() % 40);
+    for (int i = 0; i < batch && appended < kRecords; ++i, ++appended) {
+      const uint32_t key = 1 + static_cast<uint32_t>(rng.Next() % 500);
+      switch (rng.Next() % 10) {
+        case 8:
+          wal.AppendResizeBarrier(uint64_t{1024} << (rng.Next() % 8));
+          break;
+        case 9:
+          wal.AppendCheckpointMark(wal.durable_lsn());
+          break;
+        case 6:
+        case 7:
+          wal.AppendErase(key);
+          break;
+        default:
+          wal.AppendInsert(key, static_cast<uint32_t>(rng.Next()));
+          break;
+      }
+    }
+    Status st = wal.Flush();
+    if (st.IsInternal()) st = wal.Flush();  // the retried group commit
+    EXPECT_TRUE(st.ok() || wal.dead()) << st.ToString();
+  }
+  const std::string& image = wal.durable_image();
+  return {image.size(), Crc32Update(0, image.data(), image.size()),
+          wal.dead(), wal.durable_lsn(), wal.flush_failures()};
+}
+
+TEST(WalWriterTest, CrashPathsPersistPinnedImages) {
+  using Cfg = gpusim::FaultInjectorConfig;
+  auto at_third_commit = [](int64_t Cfg::*fault) {
+    Cfg cfg;
+    cfg.seed = 11;
+    cfg.*fault = 2;
+    return cfg;
+  };
+  // The fourth commit: its batch has an odd record count, so keeping
+  // "the first half, rounded up" is distinguishable from rounding down.
+  Cfg kill_mid;
+  kill_mid.kill_at_point = 3;
+  kill_mid.kill_point_filter = "wal.commit.mid";
+  const struct {
+    const char* name;
+    Cfg cfg;
+    CrashImage want;
+  } cases[] = {
+      {"none", {}, {7268, 0x5ce2c0dfu, false, 300, 0}},
+      {"short", at_third_commit(&Cfg::io_short_write_at_flush),
+       {1225, 0x22591633u, true, 49, 0}},
+      {"torn", at_third_commit(&Cfg::io_torn_write_at_flush),
+       {1245, 0x7323aa5du, true, 49, 0}},
+      {"bit_flip", at_third_commit(&Cfg::io_bit_flip_at_flush),
+       {1442, 0x29da9387u, true, 58, 0}},
+      {"fail_then_retry", at_third_commit(&Cfg::io_fail_nth_flush),
+       {7268, 0x5ce2c0dfu, false, 300, 1}},
+      {"kill_commit_mid", kill_mid, {1772, 0x05df4f87u, true, 72, 0}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const CrashImage got = RunMixedSequence(c.cfg);
+    EXPECT_EQ(got.size, c.want.size);
+    EXPECT_EQ(got.crc, c.want.crc);
+    EXPECT_EQ(got.dead, c.want.dead);
+    EXPECT_EQ(got.durable_lsn, c.want.durable_lsn);
+    EXPECT_EQ(got.flush_failures, c.want.flush_failures);
+  }
 }
 
 TEST(WalWriterTest, TruncateHeadDropsCoveredRecordsAndAdvancesFirstLsn) {
