@@ -129,18 +129,8 @@ int main() {
               server->read_only() ? "no" : "yes",
               (unsigned long long)server->breaker().recoveries());
 
-  auto s = server->stats().Capture();
-  std::printf(
-      "server stats: submitted=%llu admitted=%llu queue_full=%llu "
-      "deadline=%llu unavailable=%llu ok=%llu error=%llu retries=%llu "
-      "scrub_steps=%llu\n",
-      (unsigned long long)s.submitted, (unsigned long long)s.admitted,
-      (unsigned long long)s.rejected_queue_full,
-      (unsigned long long)s.rejected_deadline,
-      (unsigned long long)s.rejected_unavailable,
-      (unsigned long long)s.completed_ok,
-      (unsigned long long)s.completed_error, (unsigned long long)s.retries,
-      (unsigned long long)s.scrub_steps);
+  std::printf("server stats: %s\n",
+              server->stats().Capture().ToString().c_str());
   auto t = server->table()->stats().Capture();
   std::printf("scrubber: passes=%llu buckets=%llu misplaced=%llu\n",
               (unsigned long long)t.scrub_passes,

@@ -102,70 +102,14 @@ class DynamicTable {
     }
     if (num_failed != nullptr) *num_failed = 0;
     if (keys.empty()) return Status::OK();
-
-    Status grow_failure = Status::OK();
-    if (options_.auto_resize) {
-      // Grow ahead of the batch so theta never exceeds beta mid-kernel;
-      // this performs exactly the upsizes a reactive check would, without
-      // paying for mass insertion failures first.  Failure-triggered
-      // upsizing below remains as the backstop the paper describes.
-      for (int guard = 0; guard < 64; ++guard) {
-        uint64_t cap = capacity_slots();
-        if (cap == 0) break;
-        double projected =
-            static_cast<double>(size() + keys.size()) / static_cast<double>(cap);
-        if (projected <= options_.upper_bound) break;
-        Status st = UpsizeInternal();
-        if (st.IsOutOfMemory()) {
-          // Degrade instead of aborting the whole batch: run it at the
-          // current capacity and let per-key failures surface below.
-          NoteDegradedBatch(&grow_failure, st);
-          break;
-        }
-        DYCUCKOO_RETURN_NOT_OK(st);
-      }
-    }
-
-    FailBuffer fail(keys.size());
-    uint64_t invalid = InsertKernel(keys.data(), values.data(), keys.size(),
-                                    /*exclude_table=*/-1,
-                                    /*check_partner=*/true, &fail);
-
-    int rounds = 0;
-    while (fail.count() > 0 && options_.auto_resize) {
-      if (++rounds > kMaxInsertRetryRounds) break;
-      Status st = UpsizeInternal();
-      if (!st.ok()) {
-        if (st.IsOutOfMemory()) NoteDegradedBatch(&grow_failure, st);
-        break;
-      }
-      FailBuffer next(fail.count());
-      InsertKernel(fail.keys(), fail.values(), fail.count(),
-                   /*exclude_table=*/-1, /*check_partner=*/true, &next);
-      fail = std::move(next);
-    }
-
-    if (options_.auto_resize) DYCUCKOO_RETURN_NOT_OK(ResizeToBounds());
-
-    if (invalid > 0) {
-      return Status::InvalidArgument(
-          "batch contains the reserved empty-key sentinel");
-    }
-    if (fail.count() > 0) {
-      uint64_t batch_failed = AbsorbResidentFailures(fail, keys);
-      if (num_failed != nullptr) *num_failed = batch_failed;
-      if (batch_failed > 0) {
-        if (!grow_failure.ok()) {
-          return Status::OutOfMemory(
-              "could not grow (" + grow_failure.message() + "); " +
-              std::to_string(batch_failed) + " keys failed");
-        }
-        return Status::InsertionFailure("eviction bound exceeded for " +
-                                        std::to_string(batch_failed) +
-                                        " keys");
-      }
-    }
-    return Status::OK();
+    return RunInsertBatch(
+        keys.size(), keys.size(),
+        [&](FailBuffer* fail) {
+          return InsertKernel(keys.data(), values.data(), keys.size(),
+                              /*exclude_table=*/-1, /*check_partner=*/true,
+                              fail);
+        },
+        [&] { return keys; }, num_failed);
   }
 
   /// Looks up a batch.  `values[i]` receives the value when `found[i] != 0`.
@@ -215,74 +159,32 @@ class DynamicTable {
   /// the same batch).  Results are written back into `ops`.
   Status BulkExecute(std::span<MixedOp> ops) {
     if (ops.empty()) return Status::OK();
-    Status grow_failure = Status::OK();
+    uint64_t inserts = 0;
     if (options_.auto_resize) {
-      uint64_t inserts = 0;
       for (const MixedOp& op : ops) {
         if (op.type == MixedOp::Type::kInsert) ++inserts;
       }
-      for (int guard = 0; guard < 64; ++guard) {
-        uint64_t cap = capacity_slots();
-        if (cap == 0) break;
-        double projected = static_cast<double>(size() + inserts) /
-                           static_cast<double>(cap);
-        if (projected <= options_.upper_bound) break;
-        Status st = UpsizeInternal();
-        if (st.IsOutOfMemory()) {
-          NoteDegradedBatch(&grow_failure, st);
-          break;
-        }
-        DYCUCKOO_RETURN_NOT_OK(st);
-      }
     }
-    FailBuffer fail(ops.size());
-    std::atomic<uint64_t> invalid{0};
-    MixedOp* op_data = ops.data();
-    const uint64_t n = ops.size();
-    grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
-      MixedWarp(op_data, n, warp, &fail, &invalid);
-    });
-    SweepHandoffLeftovers(&fail);
-
-    int rounds = 0;
-    while (fail.count() > 0 && options_.auto_resize) {
-      if (++rounds > kMaxInsertRetryRounds) break;
-      Status st = UpsizeInternal();
-      if (!st.ok()) {
-        if (st.IsOutOfMemory()) {
-          NoteDegradedBatch(&grow_failure, st);
-          break;
-        }
-        return st;
-      }
-      FailBuffer next(fail.count());
-      InsertKernel(fail.keys(), fail.values(), fail.count(),
-                   /*exclude_table=*/-1, /*check_partner=*/true, &next);
-      fail = std::move(next);
-    }
-    if (options_.auto_resize) DYCUCKOO_RETURN_NOT_OK(ResizeToBounds());
-    if (invalid.load(kRelaxed) > 0) {
-      return Status::InvalidArgument(
-          "batch contains the reserved empty-key sentinel");
-    }
-    if (fail.count() > 0) {
-      std::vector<Key> batch_keys;
-      for (const MixedOp& op : ops) {
-        if (op.type == MixedOp::Type::kInsert) batch_keys.push_back(op.key);
-      }
-      uint64_t batch_failed = AbsorbResidentFailures(fail, batch_keys);
-      if (batch_failed > 0) {
-        if (!grow_failure.ok()) {
-          return Status::OutOfMemory(
-              "could not grow (" + grow_failure.message() + "); " +
-              std::to_string(batch_failed) + " keys failed");
-        }
-        return Status::InsertionFailure("eviction bound exceeded for " +
-                                        std::to_string(batch_failed) +
-                                        " keys");
-      }
-    }
-    return Status::OK();
+    return RunInsertBatch(
+        inserts, ops.size(),
+        [&](FailBuffer* fail) {
+          std::atomic<uint64_t> invalid{0};
+          MixedOp* op_data = ops.data();
+          const uint64_t n = ops.size();
+          grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
+            MixedWarp(op_data, n, warp, fail, &invalid);
+          });
+          SweepHandoffLeftovers(fail);
+          return invalid.load(kRelaxed);
+        },
+        [&] {
+          std::vector<Key> batch_keys;
+          for (const MixedOp& op : ops) {
+            if (op.type == MixedOp::Type::kInsert) batch_keys.push_back(op.key);
+          }
+          return batch_keys;
+        },
+        /*num_failed=*/nullptr);
   }
 
   // ---------------------------------------------------------------------
@@ -371,14 +273,12 @@ class DynamicTable {
   }
 
   /// Rebuilds a table from a Save() snapshot under the given options.
-  /// Verifies the CRC-32 trailer; legacy (pre-versioning) snapshots are
-  /// still readable behind their distinct magic.
+  /// Verifies the CRC-32 trailer.
   static Status Load(std::istream& is, const DyCuckooOptions& options,
                      std::unique_ptr<DynamicTable>* out) {
     uint64_t magic = 0;
     is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
     if (!is.good()) return Status::InvalidArgument("not a DyCuckoo snapshot");
-    if (magic == kSnapshotMagic) return LoadLegacy(is, options, out);
     if (magic != kSnapshotMagicV2) {
       return Status::InvalidArgument("not a DyCuckoo snapshot");
     }
@@ -1224,8 +1124,6 @@ class DynamicTable {
   static constexpr uint32_t kStashVacant = 0;
   static constexpr uint32_t kStashLive = 1;
   static constexpr uint32_t kStashBusy = 2;
-  /// Legacy (version-1, headerless, no checksum) snapshot magic.
-  static constexpr uint64_t kSnapshotMagic = 0xD1C0CC00'5A4B1705ULL;
   /// Version-2 snapshot magic (format-version field + CRC-32 trailer).
   static constexpr uint64_t kSnapshotMagicV2 = 0xD1C0CC00'5A4B1706ULL;
   static constexpr uint64_t kSnapshotFormatVersion = 2;
@@ -1240,41 +1138,6 @@ class DynamicTable {
 
   explicit DynamicTable(const DyCuckooOptions& options) : options_(options) {}
 
-  /// Reads the remainder of a version-1 snapshot (after the magic).
-  static Status LoadLegacy(std::istream& is, const DyCuckooOptions& options,
-                           std::unique_ptr<DynamicTable>* out) {
-    uint64_t header[3] = {0, 0, 0};
-    is.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (!is.good()) return Status::InvalidArgument("not a DyCuckoo snapshot");
-    if (header[0] != sizeof(Key) || header[1] != sizeof(Value)) {
-      return Status::InvalidArgument("snapshot key/value width mismatch");
-    }
-    // As in Load: publish the table only after the whole stream parsed.
-    std::unique_ptr<DynamicTable> table;
-    DYCUCKOO_RETURN_NOT_OK(Create(options, &table));
-    const uint64_t count = header[2];
-    if (table->options_.auto_resize) {
-      DYCUCKOO_RETURN_NOT_OK(table->Reserve(count));
-    }
-    std::vector<Key> keys(std::min(count, kSnapshotChunkPairs));
-    std::vector<Value> values(keys.size());
-    uint64_t remaining = count;
-    while (remaining > 0) {
-      uint64_t n = std::min(remaining, kSnapshotChunkPairs);
-      for (uint64_t i = 0; i < n; ++i) {
-        is.read(reinterpret_cast<char*>(&keys[i]), sizeof(Key));
-        is.read(reinterpret_cast<char*>(&values[i]), sizeof(Value));
-      }
-      if (!is.good()) return Status::InvalidArgument("snapshot truncated");
-      DYCUCKOO_RETURN_NOT_OK(table->BulkInsert(
-          std::span<const Key>(keys.data(), n),
-          std::span<const Value>(values.data(), n)));
-      remaining -= n;
-    }
-    *out = std::move(table);
-    return Status::OK();
-  }
-
   /// Records that a batch ran without the capacity growth it wanted
   /// (counted once per batch, keeping the first failure's message).
   void NoteDegradedBatch(Status* grow_failure, const Status& oom) {
@@ -1284,6 +1147,75 @@ class DynamicTable {
   }
 
   class FailBuffer;  // defined below
+
+  /// The batch procedure shared by BulkInsert and BulkExecute, in order:
+  /// pre-grow so `inserts` more keys keep theta within beta; `launch`
+  /// (fills a FailBuffer of `capacity`, returns the number of reserved-
+  /// sentinel keys it skipped); upsize and re-insert the failures, at most
+  /// kMaxInsertRetryRounds times; ResizeToBounds; the sentinel check; then
+  /// AbsorbResidentFailures over `batch_keys()`, whose count of genuine
+  /// failures goes to `num_failed` (if given) and the status.
+  template <typename Launch, typename BatchKeys>
+  Status RunInsertBatch(uint64_t inserts, uint64_t capacity, Launch&& launch,
+                        BatchKeys&& batch_keys, uint64_t* num_failed) {
+    // UpsizeInternal fails only with OutOfMemory.  Such a batch degrades
+    // instead of aborting: it runs at the current capacity and its per-key
+    // failures surface below.
+    Status grow_failure = Status::OK();
+    if (options_.auto_resize) {
+      // Grow ahead of the batch so theta never exceeds beta mid-kernel;
+      // this performs exactly the upsizes a reactive check would, without
+      // paying for mass insertion failures first.  Failure-triggered
+      // upsizing below remains as the backstop the paper describes.
+      for (int guard = 0; guard < 64; ++guard) {
+        uint64_t cap = capacity_slots();
+        if (cap == 0) break;
+        double projected =
+            static_cast<double>(size() + inserts) / static_cast<double>(cap);
+        if (projected <= options_.upper_bound) break;
+        Status st = UpsizeInternal();
+        if (!st.ok()) {
+          NoteDegradedBatch(&grow_failure, st);
+          break;
+        }
+      }
+    }
+
+    FailBuffer fail(capacity);
+    const uint64_t invalid = launch(&fail);
+
+    for (int round = 0; round < kMaxInsertRetryRounds && fail.count() > 0 &&
+                        options_.auto_resize;
+         ++round) {
+      Status st = UpsizeInternal();
+      if (!st.ok()) {
+        NoteDegradedBatch(&grow_failure, st);
+        break;
+      }
+      FailBuffer next(fail.count());
+      InsertKernel(fail.keys(), fail.values(), fail.count(),
+                   /*exclude_table=*/-1, /*check_partner=*/true, &next);
+      fail = std::move(next);
+    }
+
+    if (options_.auto_resize) DYCUCKOO_RETURN_NOT_OK(ResizeToBounds());
+
+    if (invalid > 0) {
+      return Status::InvalidArgument(
+          "batch contains the reserved empty-key sentinel");
+    }
+    if (fail.count() == 0) return Status::OK();
+    const uint64_t batch_failed = AbsorbResidentFailures(fail, batch_keys());
+    if (num_failed != nullptr) *num_failed = batch_failed;
+    if (batch_failed == 0) return Status::OK();
+    if (!grow_failure.ok()) {
+      return Status::OutOfMemory("could not grow (" + grow_failure.message() +
+                                 "); " + std::to_string(batch_failed) +
+                                 " keys failed");
+    }
+    return Status::InsertionFailure("eviction bound exceeded for " +
+                                    std::to_string(batch_failed) + " keys");
+  }
 
   /// A terminal fail buffer usually does NOT hold the batch keys that
   /// started the failing chains: cuckoo insertion displaces residents as it
@@ -1638,8 +1570,8 @@ class DynamicTable {
                   uint64_t warp, int exclude_table, bool check_partner,
                   FailBuffer* fail, std::atomic<uint64_t>* invalid) {
     LaneOp ops[gpusim::kWarpSize];
-    uint64_t local_new = 0, local_updated = 0, local_failed = 0,
-             local_invalid = 0, local_evictions = 0;
+    TableStats::Snapshot tally;
+    uint64_t local_invalid = 0;
 
     const uint64_t base = warp * gpusim::kWarpSize;
     for (int lane = 0; lane < gpusim::kWarpSize; ++lane) {
@@ -1650,16 +1582,12 @@ class DynamicTable {
         continue;
       }
       PrepareInsertLane(keys[idx], values[idx], exclude_table, check_partner,
-                        &ops[lane], &local_updated);
+                        &ops[lane], &tally.inserts_updated);
     }
 
-    RunVoterLoop(ops, exclude_table, check_partner, fail, &local_new,
-                 &local_updated, &local_failed, &local_evictions);
+    RunVoterLoop(ops, exclude_table, check_partner, fail, &tally);
 
-    if (local_new) stats_.inserts_new.fetch_add(local_new, kRelaxed);
-    if (local_updated) stats_.inserts_updated.fetch_add(local_updated, kRelaxed);
-    if (local_failed) stats_.insert_failures.fetch_add(local_failed, kRelaxed);
-    if (local_evictions) stats_.evictions.fetch_add(local_evictions, kRelaxed);
+    stats_.Add(tally);
     if (local_invalid) invalid->fetch_add(local_invalid, kRelaxed);
   }
 
@@ -1725,13 +1653,11 @@ class DynamicTable {
   /// cycle, so recomputing it with a 32-lane loop each round would charge
   /// the simulation a cost the GPU never pays.
   void RunVoterLoop(LaneOp* ops, int exclude_table, bool check_partner,
-                    FailBuffer* fail, uint64_t* local_new,
-                    uint64_t* local_updated, uint64_t* local_failed,
-                    uint64_t* local_evictions) {
-    uint64_t& new_count = *local_new;
-    uint64_t& updated = *local_updated;
-    uint64_t& failed = *local_failed;
-    uint64_t& evicted = *local_evictions;
+                    FailBuffer* fail, TableStats::Snapshot* tally) {
+    uint64_t& new_count = tally->inserts_new;
+    uint64_t& updated = tally->inserts_updated;
+    uint64_t& failed = tally->insert_failures;
+    uint64_t& evicted = tally->evictions;
     int chain_limit = options_.max_eviction_chain;
     if (gpusim::FaultInjector* fi = gpusim::FaultInjector::Active()) {
       chain_limit = fi->ClampEvictionChain(chain_limit);
@@ -2066,9 +1992,8 @@ class DynamicTable {
   void MixedWarp(MixedOp* ops, uint64_t n, uint64_t warp, FailBuffer* fail,
                  std::atomic<uint64_t>* invalid) {
     LaneOp lane_ops[gpusim::kWarpSize];
-    uint64_t local_new = 0, local_updated = 0, local_failed = 0,
-             local_invalid = 0, local_evictions = 0, local_finds = 0,
-             local_find_hits = 0, local_erases = 0, local_erase_hits = 0;
+    TableStats::Snapshot tally;
+    uint64_t local_invalid = 0;
 
     const uint64_t base = warp * gpusim::kWarpSize;
     for (int lane = 0; lane < gpusim::kWarpSize; ++lane) {
@@ -2077,20 +2002,20 @@ class DynamicTable {
       MixedOp& op = ops[idx];
       switch (op.type) {
         case MixedOp::Type::kFind: {
-          ++local_finds;
+          ++tally.finds;
           Value v{};
           op.hit = FindOneInternal(op.key, &v) ? 1 : 0;
           if (op.hit) {
             op.value = v;
-            ++local_find_hits;
+            ++tally.find_hits;
           }
           break;
         }
         case MixedOp::Type::kErase: {
-          ++local_erases;
+          ++tally.erases;
           uint64_t released = EraseOneInternal(op.key);
           op.hit = released > 0 ? 1 : 0;
-          local_erase_hits += released;
+          tally.erase_hits += released;
           break;
         }
         case MixedOp::Type::kInsert: {
@@ -2100,26 +2025,17 @@ class DynamicTable {
           }
           PrepareInsertLane(op.key, op.value, /*exclude_table=*/-1,
                             /*check_partner=*/true, &lane_ops[lane],
-                            &local_updated);
+                            &tally.inserts_updated);
           break;
         }
       }
     }
 
     RunVoterLoop(lane_ops, /*exclude_table=*/-1, /*check_partner=*/true, fail,
-                 &local_new, &local_updated, &local_failed, &local_evictions);
+                 &tally);
 
-    if (local_new) stats_.inserts_new.fetch_add(local_new, kRelaxed);
-    if (local_updated) stats_.inserts_updated.fetch_add(local_updated, kRelaxed);
-    if (local_failed) stats_.insert_failures.fetch_add(local_failed, kRelaxed);
-    if (local_evictions) stats_.evictions.fetch_add(local_evictions, kRelaxed);
+    stats_.Add(tally);
     if (local_invalid) invalid->fetch_add(local_invalid, kRelaxed);
-    if (local_finds) stats_.finds.fetch_add(local_finds, kRelaxed);
-    if (local_find_hits) stats_.find_hits.fetch_add(local_find_hits, kRelaxed);
-    if (local_erases) stats_.erases.fetch_add(local_erases, kRelaxed);
-    if (local_erase_hits) {
-      stats_.erase_hits.fetch_add(local_erase_hits, kRelaxed);
-    }
   }
 
   // ---- Find / erase kernels --------------------------------------------

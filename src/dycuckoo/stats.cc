@@ -6,31 +6,8 @@ namespace dycuckoo {
 
 std::string TableStats::Snapshot::ToString() const {
   std::ostringstream os;
-  os << "inserts_new=" << inserts_new << " inserts_updated=" << inserts_updated
-     << " insert_failures=" << insert_failures << " finds=" << finds
-     << " find_hits=" << find_hits << " erases=" << erases
-     << " erase_hits=" << erase_hits << " evictions=" << evictions
-     << " insert_reprobe_updates=" << insert_reprobe_updates
-     << " upsizes=" << upsizes << " downsizes=" << downsizes
-     << " rehashed_kvs=" << rehashed_kvs << " residual_kvs=" << residual_kvs
-     << " stash_inserts=" << stash_inserts << " stash_drains=" << stash_drains
-     << " parked_victims=" << parked_victims
-     << " handoff_hits=" << handoff_hits
-     << " handoff_full_fallbacks=" << handoff_full_fallbacks
-     << " handoff_deletes=" << handoff_deletes
-     << " downsize_rollbacks=" << downsize_rollbacks
-     << " degraded_batches=" << degraded_batches
-     << " resize_oom_skips=" << resize_oom_skips
-     << " recovery_spills=" << recovery_spills
-     << " scrub_buckets_scanned=" << scrub_buckets_scanned
-     << " scrub_misplaced_found=" << scrub_misplaced_found
-     << " scrub_misplaced_repaired=" << scrub_misplaced_repaired
-     << " scrub_stash_fixes=" << scrub_stash_fixes
-     << " scrub_duplicates_collapsed=" << scrub_duplicates_collapsed
-     << " scrub_passes=" << scrub_passes
-     << " scrub_corrupted_slots=" << scrub_corrupted_slots
-     << " scrub_repaired_from_wal=" << scrub_repaired_from_wal
-     << " scrub_unrepairable=" << scrub_unrepairable;
+  const char* sep = "";
+  DYCUCKOO_TABLE_STATS(DYCUCKOO_COUNTER_PRINT)
   return os.str();
 }
 

@@ -7,140 +7,75 @@
 #include <cstdint>
 #include <string>
 
+#include "common/counter_set.h"
+
 namespace dycuckoo {
 
+// The counter set, declared once: X(field) per counter, in member order.
+#define DYCUCKOO_TABLE_STATS(X)                                              \
+  X(inserts_new)     /* KV placed into an empty slot */                      \
+  X(inserts_updated) /* existing key overwritten */                          \
+  X(insert_failures) /* eviction chain exceeded bound */                     \
+  X(finds)                                                                   \
+  X(find_hits)                                                               \
+  X(erases)                                                                  \
+  X(erase_hits)                                                              \
+  X(evictions)                                                               \
+  X(insert_reprobe_updates) /* dup averted at placement */                   \
+  X(upsizes)                                                                 \
+  X(downsizes)                                                               \
+  X(rehashed_kvs)  /* KVs touched by resize kernels */                       \
+  X(residual_kvs)  /* downsize overflow reinsertions */                      \
+  X(stash_inserts) /* failures absorbed by the stash */                      \
+  X(stash_drains)  /* stash entries moved back */                            \
+  /* Eviction displacement handoff (docs/robustness.md "Consistency       */ \
+  /* guarantees"): victims parked before their slot is overwritten, reads */ \
+  /* served from the ring, ring-full fallbacks, and DELETEs that consumed */ \
+  /* a parked entry.                                                      */ \
+  X(parked_victims)                                                          \
+  X(handoff_hits)                                                            \
+  X(handoff_full_fallbacks)                                                  \
+  X(handoff_deletes)                                                         \
+  /* Recovery / fault-survival counters: how often the table degraded or  */ \
+  /* rolled back instead of failing (see docs/robustness.md).             */ \
+  X(downsize_rollbacks) /* downsize undone losslessly */                     \
+  X(degraded_batches)   /* batch ran without pre-grow */                     \
+  X(resize_oom_skips)   /* auto-resize skipped on OOM */                     \
+  X(recovery_spills)    /* keys force-parked in stash */                     \
+  /* Online invariant scrubber (DynamicTable::ScrubBuckets / ScrubAll).   */ \
+  X(scrub_buckets_scanned)                                                   \
+  X(scrub_misplaced_found)      /* pairs outside probe set */                \
+  X(scrub_misplaced_repaired)   /* pairs re-homed */                         \
+  X(scrub_stash_fixes)          /* stash counter repaired */                 \
+  X(scrub_duplicates_collapsed) /* shadowed copies freed */                  \
+  X(scrub_passes)               /* full sweeps completed */                  \
+  /* Silent-data-corruption defense (integrity tags; docs/robustness.md): */ \
+  /* tag-mismatched slots detected, pairs restored from checkpoint + WAL, */ \
+  /* and corruption durable state could not resolve (shard degrades).     */ \
+  X(scrub_corrupted_slots)                                                   \
+  X(scrub_repaired_from_wal)                                                 \
+  X(scrub_unrepairable)
+
 /// Cumulative counters since table construction.  Thread-safe (kernels
-/// update them from many warps); read with Snapshot().
+/// update them from many warps); read with Capture().
 class TableStats {
  public:
-  std::atomic<uint64_t> inserts_new{0};      // KV placed into an empty slot
-  std::atomic<uint64_t> inserts_updated{0};  // existing key overwritten
-  std::atomic<uint64_t> insert_failures{0};  // eviction chain exceeded bound
-  std::atomic<uint64_t> finds{0};
-  std::atomic<uint64_t> find_hits{0};
-  std::atomic<uint64_t> erases{0};
-  std::atomic<uint64_t> erase_hits{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> insert_reprobe_updates{0};  // dup averted at placement
-  std::atomic<uint64_t> upsizes{0};
-  std::atomic<uint64_t> downsizes{0};
-  std::atomic<uint64_t> rehashed_kvs{0};     // KVs touched by resize kernels
-  std::atomic<uint64_t> residual_kvs{0};     // downsize overflow reinsertions
-  std::atomic<uint64_t> stash_inserts{0};    // failures absorbed by the stash
-  std::atomic<uint64_t> stash_drains{0};     // stash entries moved back
-
-  // Eviction displacement handoff (docs/robustness.md "Consistency
-  // guarantees"): victims parked before their slot is overwritten, reads
-  // served from the ring, ring-full fallbacks, and DELETEs that consumed a
-  // parked entry.
-  std::atomic<uint64_t> parked_victims{0};
-  std::atomic<uint64_t> handoff_hits{0};
-  std::atomic<uint64_t> handoff_full_fallbacks{0};
-  std::atomic<uint64_t> handoff_deletes{0};
-
-  // Recovery / fault-survival counters: how often the table degraded or
-  // rolled back instead of failing (see docs/robustness.md).
-  std::atomic<uint64_t> downsize_rollbacks{0};  // downsize undone losslessly
-  std::atomic<uint64_t> degraded_batches{0};    // batch ran without pre-grow
-  std::atomic<uint64_t> resize_oom_skips{0};    // auto-resize skipped on OOM
-  std::atomic<uint64_t> recovery_spills{0};     // keys force-parked in stash
-
-  // Online invariant scrubber (DynamicTable::ScrubBuckets / ScrubAll).
-  std::atomic<uint64_t> scrub_buckets_scanned{0};
-  std::atomic<uint64_t> scrub_misplaced_found{0};     // pairs outside probe set
-  std::atomic<uint64_t> scrub_misplaced_repaired{0};  // pairs re-homed
-  std::atomic<uint64_t> scrub_stash_fixes{0};         // stash counter repaired
-  std::atomic<uint64_t> scrub_duplicates_collapsed{0};  // shadowed copies freed
-  std::atomic<uint64_t> scrub_passes{0};              // full sweeps completed
-
-  // Silent-data-corruption defense (integrity tags; docs/robustness.md):
-  // tag-mismatched slots detected, pairs restored from checkpoint + WAL,
-  // and corruption durable state could not resolve (shard degrades).
-  std::atomic<uint64_t> scrub_corrupted_slots{0};
-  std::atomic<uint64_t> scrub_repaired_from_wal{0};
-  std::atomic<uint64_t> scrub_unrepairable{0};
+  DYCUCKOO_TABLE_STATS(DYCUCKOO_COUNTER_ATOMIC)
 
   struct Snapshot {
-    uint64_t inserts_new = 0;
-    uint64_t inserts_updated = 0;
-    uint64_t insert_failures = 0;
-    uint64_t finds = 0;
-    uint64_t find_hits = 0;
-    uint64_t erases = 0;
-    uint64_t erase_hits = 0;
-    uint64_t evictions = 0;
-    uint64_t insert_reprobe_updates = 0;
-    uint64_t upsizes = 0;
-    uint64_t downsizes = 0;
-    uint64_t rehashed_kvs = 0;
-    uint64_t residual_kvs = 0;
-    uint64_t stash_inserts = 0;
-    uint64_t stash_drains = 0;
-    uint64_t parked_victims = 0;
-    uint64_t handoff_hits = 0;
-    uint64_t handoff_full_fallbacks = 0;
-    uint64_t handoff_deletes = 0;
-    uint64_t downsize_rollbacks = 0;
-    uint64_t degraded_batches = 0;
-    uint64_t resize_oom_skips = 0;
-    uint64_t recovery_spills = 0;
-    uint64_t scrub_buckets_scanned = 0;
-    uint64_t scrub_misplaced_found = 0;
-    uint64_t scrub_misplaced_repaired = 0;
-    uint64_t scrub_stash_fixes = 0;
-    uint64_t scrub_duplicates_collapsed = 0;
-    uint64_t scrub_passes = 0;
-    uint64_t scrub_corrupted_slots = 0;
-    uint64_t scrub_repaired_from_wal = 0;
-    uint64_t scrub_unrepairable = 0;
+    DYCUCKOO_TABLE_STATS(DYCUCKOO_COUNTER_VALUE)
 
     std::string ToString() const;
   };
 
   Snapshot Capture() const {
     Snapshot s;
-    s.inserts_new = inserts_new.load(std::memory_order_relaxed);
-    s.inserts_updated = inserts_updated.load(std::memory_order_relaxed);
-    s.insert_failures = insert_failures.load(std::memory_order_relaxed);
-    s.finds = finds.load(std::memory_order_relaxed);
-    s.find_hits = find_hits.load(std::memory_order_relaxed);
-    s.erases = erases.load(std::memory_order_relaxed);
-    s.erase_hits = erase_hits.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.insert_reprobe_updates =
-        insert_reprobe_updates.load(std::memory_order_relaxed);
-    s.upsizes = upsizes.load(std::memory_order_relaxed);
-    s.downsizes = downsizes.load(std::memory_order_relaxed);
-    s.rehashed_kvs = rehashed_kvs.load(std::memory_order_relaxed);
-    s.residual_kvs = residual_kvs.load(std::memory_order_relaxed);
-    s.stash_inserts = stash_inserts.load(std::memory_order_relaxed);
-    s.stash_drains = stash_drains.load(std::memory_order_relaxed);
-    s.parked_victims = parked_victims.load(std::memory_order_relaxed);
-    s.handoff_hits = handoff_hits.load(std::memory_order_relaxed);
-    s.handoff_full_fallbacks =
-        handoff_full_fallbacks.load(std::memory_order_relaxed);
-    s.handoff_deletes = handoff_deletes.load(std::memory_order_relaxed);
-    s.downsize_rollbacks = downsize_rollbacks.load(std::memory_order_relaxed);
-    s.degraded_batches = degraded_batches.load(std::memory_order_relaxed);
-    s.resize_oom_skips = resize_oom_skips.load(std::memory_order_relaxed);
-    s.recovery_spills = recovery_spills.load(std::memory_order_relaxed);
-    s.scrub_buckets_scanned =
-        scrub_buckets_scanned.load(std::memory_order_relaxed);
-    s.scrub_misplaced_found =
-        scrub_misplaced_found.load(std::memory_order_relaxed);
-    s.scrub_misplaced_repaired =
-        scrub_misplaced_repaired.load(std::memory_order_relaxed);
-    s.scrub_stash_fixes = scrub_stash_fixes.load(std::memory_order_relaxed);
-    s.scrub_duplicates_collapsed =
-        scrub_duplicates_collapsed.load(std::memory_order_relaxed);
-    s.scrub_passes = scrub_passes.load(std::memory_order_relaxed);
-    s.scrub_corrupted_slots =
-        scrub_corrupted_slots.load(std::memory_order_relaxed);
-    s.scrub_repaired_from_wal =
-        scrub_repaired_from_wal.load(std::memory_order_relaxed);
-    s.scrub_unrepairable = scrub_unrepairable.load(std::memory_order_relaxed);
+    DYCUCKOO_TABLE_STATS(DYCUCKOO_COUNTER_CAPTURE)
     return s;
   }
+
+  /// Adds `d`'s counts (a kernel warp's local tally, flushed once per warp).
+  void Add(const Snapshot& d) { DYCUCKOO_TABLE_STATS(DYCUCKOO_COUNTER_ADD) }
 };
 
 }  // namespace dycuckoo

@@ -74,11 +74,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/counter_set.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -95,75 +97,51 @@
 namespace dycuckoo {
 namespace service {
 
+// The server counter set, declared once: X(field) per counter, in member
+// order.
+#define DYCUCKOO_SERVER_STATS(X)                                             \
+  X(submitted)                                                               \
+  X(admitted)                                                                \
+  X(rejected_queue_full)                                                     \
+  X(rejected_deadline) /* at submit, dequeue or retry */                     \
+  X(rejected_unavailable)                                                    \
+  X(completed_ok)                                                            \
+  X(completed_error)     /* terminal non-OK executions */                    \
+  X(batch_launches)      /* coalesced BulkExecute calls */                   \
+  X(coalesced_fallbacks) /* batches re-run per request */                    \
+  X(retries)             /* re-executions beyond first */                    \
+  X(backoff_ticks_slept)                                                     \
+  X(scrub_steps)                                                             \
+  X(scrub_resizes) /* bounds repairs it triggered */                         \
+  /* Silent-corruption escalation (see docs/robustness.md): slots whose  */  \
+  /* integrity tag mismatched, how many were resolved from durable state */  \
+  /* (re-published from the WAL/checkpoint, or confirmed erased), and    */  \
+  /* how many could not be — each of the latter trips the breaker and    */  \
+  /* sets the sticky integrity_compromised() flag.                       */  \
+  X(scrub_corruption_detected)                                               \
+  X(scrub_corruption_repaired)                                               \
+  X(scrub_corruption_unrepairable)
+
 /// Server-side counters (all monotonic; Capture() for a coherent-enough
 /// snapshot — same relaxed contract as TableStats).
 struct ServerStats {
-  std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> rejected_queue_full{0};
-  std::atomic<uint64_t> rejected_deadline{0};   // at submit, dequeue or retry
-  std::atomic<uint64_t> rejected_unavailable{0};
-  std::atomic<uint64_t> completed_ok{0};
-  std::atomic<uint64_t> completed_error{0};     // terminal non-OK executions
-  std::atomic<uint64_t> batch_launches{0};      // coalesced BulkExecute calls
-  std::atomic<uint64_t> coalesced_fallbacks{0}; // batches re-run per request
-  std::atomic<uint64_t> retries{0};             // re-executions beyond first
-  std::atomic<uint64_t> backoff_ticks_slept{0};
-  std::atomic<uint64_t> scrub_steps{0};
-  std::atomic<uint64_t> scrub_resizes{0};       // bounds repairs it triggered
-  // Silent-corruption escalation (see docs/robustness.md): slots whose
-  // integrity tag mismatched, how many were resolved from durable state
-  // (re-published from the WAL/checkpoint, or confirmed erased), and how
-  // many could not be — each of the latter trips the breaker and sets the
-  // sticky integrity_compromised() flag.
-  std::atomic<uint64_t> scrub_corruption_detected{0};
-  std::atomic<uint64_t> scrub_corruption_repaired{0};
-  std::atomic<uint64_t> scrub_corruption_unrepairable{0};
+  DYCUCKOO_SERVER_STATS(DYCUCKOO_COUNTER_ATOMIC)
 
   struct Snapshot {
-    uint64_t submitted = 0;
-    uint64_t admitted = 0;
-    uint64_t rejected_queue_full = 0;
-    uint64_t rejected_deadline = 0;
-    uint64_t rejected_unavailable = 0;
-    uint64_t completed_ok = 0;
-    uint64_t completed_error = 0;
-    uint64_t batch_launches = 0;
-    uint64_t coalesced_fallbacks = 0;
-    uint64_t retries = 0;
-    uint64_t backoff_ticks_slept = 0;
-    uint64_t scrub_steps = 0;
-    uint64_t scrub_resizes = 0;
-    uint64_t scrub_corruption_detected = 0;
-    uint64_t scrub_corruption_repaired = 0;
-    uint64_t scrub_corruption_unrepairable = 0;
+    DYCUCKOO_SERVER_STATS(DYCUCKOO_COUNTER_VALUE)
+
+    /// `field=value` pairs in declaration order, space-separated.
+    std::string ToString() const {
+      std::ostringstream os;
+      const char* sep = "";
+      DYCUCKOO_SERVER_STATS(DYCUCKOO_COUNTER_PRINT)
+      return os.str();
+    }
   };
 
   Snapshot Capture() const {
     Snapshot s;
-    s.submitted = submitted.load(std::memory_order_relaxed);
-    s.admitted = admitted.load(std::memory_order_relaxed);
-    s.rejected_queue_full =
-        rejected_queue_full.load(std::memory_order_relaxed);
-    s.rejected_deadline = rejected_deadline.load(std::memory_order_relaxed);
-    s.rejected_unavailable =
-        rejected_unavailable.load(std::memory_order_relaxed);
-    s.completed_ok = completed_ok.load(std::memory_order_relaxed);
-    s.completed_error = completed_error.load(std::memory_order_relaxed);
-    s.batch_launches = batch_launches.load(std::memory_order_relaxed);
-    s.coalesced_fallbacks =
-        coalesced_fallbacks.load(std::memory_order_relaxed);
-    s.retries = retries.load(std::memory_order_relaxed);
-    s.backoff_ticks_slept =
-        backoff_ticks_slept.load(std::memory_order_relaxed);
-    s.scrub_steps = scrub_steps.load(std::memory_order_relaxed);
-    s.scrub_resizes = scrub_resizes.load(std::memory_order_relaxed);
-    s.scrub_corruption_detected =
-        scrub_corruption_detected.load(std::memory_order_relaxed);
-    s.scrub_corruption_repaired =
-        scrub_corruption_repaired.load(std::memory_order_relaxed);
-    s.scrub_corruption_unrepairable =
-        scrub_corruption_unrepairable.load(std::memory_order_relaxed);
+    DYCUCKOO_SERVER_STATS(DYCUCKOO_COUNTER_CAPTURE)
     return s;
   }
 };

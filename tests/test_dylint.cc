@@ -96,6 +96,25 @@ TEST(DylintTest, UnregisteredKillPointIsFlagged) {
       << run.output;
 }
 
+TEST(DylintTest, UnregisteredCounterIsFlagged) {
+  // Each counter list carries one entry its doc table lacks; both lists
+  // are read from their X(...) entries and diffed against their own
+  // marker sections.
+  const LintRun run = RunDylint(Fixture("unregistered_counter"));
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("[registry-sync]"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("TableStats counter 'planted_table_counter'"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("ServerStats counter 'planted_server_counter'"),
+            std::string::npos)
+      << run.output;
+  // The documented entries pass: exactly the two planted findings.
+  EXPECT_NE(run.output.find(", 2 violations\n"), std::string::npos)
+      << run.output;
+}
+
 TEST(DylintTest, UnjustifiedSuppressionIsFlagged) {
   const LintRun run = RunDylint(Fixture("unjustified_suppression"));
   EXPECT_EQ(run.exit_code, 1) << run.output;

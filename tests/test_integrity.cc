@@ -826,5 +826,57 @@ TEST(IntegrityStats, DigestIncludesCorruptionCounters) {
   EXPECT_NE(digest.find("scrub_unrepairable=1"), std::string::npos);
 }
 
+TEST(IntegrityStats, SnapshotToStringIsPinned) {
+  // The whole digest, byte for byte: every counter carries a distinct
+  // value, so a dropped, renamed, reordered or mislabeled field shows.
+  TableStats stats;
+  stats.inserts_new.store(100);
+  stats.inserts_updated.store(101);
+  stats.insert_failures.store(102);
+  stats.finds.store(103);
+  stats.find_hits.store(104);
+  stats.erases.store(105);
+  stats.erase_hits.store(106);
+  stats.evictions.store(107);
+  stats.insert_reprobe_updates.store(108);
+  stats.upsizes.store(109);
+  stats.downsizes.store(110);
+  stats.rehashed_kvs.store(111);
+  stats.residual_kvs.store(112);
+  stats.stash_inserts.store(113);
+  stats.stash_drains.store(114);
+  stats.parked_victims.store(115);
+  stats.handoff_hits.store(116);
+  stats.handoff_full_fallbacks.store(117);
+  stats.handoff_deletes.store(118);
+  stats.downsize_rollbacks.store(119);
+  stats.degraded_batches.store(120);
+  stats.resize_oom_skips.store(121);
+  stats.recovery_spills.store(122);
+  stats.scrub_buckets_scanned.store(123);
+  stats.scrub_misplaced_found.store(124);
+  stats.scrub_misplaced_repaired.store(125);
+  stats.scrub_stash_fixes.store(126);
+  stats.scrub_duplicates_collapsed.store(127);
+  stats.scrub_passes.store(128);
+  stats.scrub_corrupted_slots.store(129);
+  stats.scrub_repaired_from_wal.store(130);
+  stats.scrub_unrepairable.store(131);
+  EXPECT_EQ(
+      stats.Capture().ToString(),
+      "inserts_new=100 inserts_updated=101 insert_failures=102 finds=103"
+      " find_hits=104 erases=105 erase_hits=106 evictions=107"
+      " insert_reprobe_updates=108 upsizes=109 downsizes=110"
+      " rehashed_kvs=111 residual_kvs=112 stash_inserts=113"
+      " stash_drains=114 parked_victims=115 handoff_hits=116"
+      " handoff_full_fallbacks=117 handoff_deletes=118"
+      " downsize_rollbacks=119 degraded_batches=120 resize_oom_skips=121"
+      " recovery_spills=122 scrub_buckets_scanned=123"
+      " scrub_misplaced_found=124 scrub_misplaced_repaired=125"
+      " scrub_stash_fixes=126 scrub_duplicates_collapsed=127"
+      " scrub_passes=128 scrub_corrupted_slots=129"
+      " scrub_repaired_from_wal=130 scrub_unrepairable=131");
+}
+
 }  // namespace
 }  // namespace dycuckoo

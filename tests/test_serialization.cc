@@ -134,9 +134,9 @@ TEST(SerializationTest, RejectsTruncatedHeader) {
 }
 
 TEST(SerializationTest, RejectsTruncatedLegacyPayload) {
-  // A version-1 stream whose header claims more pairs than the stream
-  // holds must come back as a clean non-OK status, never a crash or a
-  // partially-populated table.
+  // The version-1 format (no version field, no CRC trailer) is no longer
+  // read: its magic is refused as "not a DyCuckoo snapshot" before the
+  // header or payload is looked at, and no table is handed back.
   constexpr uint64_t kLegacyMagic = 0xD1C0CC00'5A4B1705ULL;
   std::stringstream ss;
   uint64_t header[4] = {kLegacyMagic, sizeof(uint32_t), sizeof(uint32_t),
@@ -200,9 +200,7 @@ TEST(SerializationTest, ExhaustiveBitFlipSweepNeverLoadsCorruptSnapshot) {
   // Flip every single bit of a small v2 snapshot, one at a time.  No flip
   // may crash the loader, return OK, or hand back a partial table: every
   // byte of the format is covered by either the magic check, the header
-  // validation, or the CRC-32 trailer.  (A single flip cannot turn the v2
-  // magic into the legacy v1 magic — they differ in two bits — so the
-  // legacy fallback path cannot swallow a corrupted v2 stream.)
+  // validation, or the CRC-32 trailer.
   //
   // A small private arena bounds the damage of a flipped entry count: a
   // count inflated to 2^60 must die as a fast OutOfMemory inside Reserve,
@@ -231,33 +229,6 @@ TEST(SerializationTest, ExhaustiveBitFlipSweepNeverLoadsCorruptSnapshot) {
           << "flip of byte " << byte << " bit " << bit
           << " leaked a partial table (" << st.ToString() << ")";
     }
-  }
-}
-
-TEST(SerializationTest, ReadsLegacyVersion1Snapshot) {
-  // Hand-build the pre-CRC (v1) stream: magic, key width, value width,
-  // count, interleaved pairs — no version field, no trailer.
-  constexpr uint64_t kLegacyMagic = 0xD1C0CC00'5A4B1705ULL;
-  auto keys = UniqueKeys(1000, 11);
-  auto values = SequentialValues(keys.size());
-  std::stringstream ss;
-  uint64_t header[4] = {kLegacyMagic, sizeof(uint32_t), sizeof(uint32_t),
-                        keys.size()};
-  ss.write(reinterpret_cast<const char*>(header), sizeof(header));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ss.write(reinterpret_cast<const char*>(&keys[i]), sizeof(uint32_t));
-    ss.write(reinterpret_cast<const char*>(&values[i]), sizeof(uint32_t));
-  }
-
-  std::unique_ptr<DyCuckooMap> restored;
-  ASSERT_TRUE(DyCuckooMap::Load(ss, DyCuckooOptions{}, &restored).ok());
-  EXPECT_EQ(restored->size(), keys.size());
-  std::vector<uint32_t> out(keys.size());
-  std::vector<uint8_t> found(keys.size());
-  restored->BulkFind(keys, out.data(), found.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(found[i]) << i;
-    ASSERT_EQ(out[i], values[i]);
   }
 }
 

@@ -268,6 +268,35 @@ TEST(TableServerTest, ScrubSliceRunsBetweenBatches) {
   EXPECT_GT(server->stats().Capture().scrub_steps, 0u);
 }
 
+TEST(TableServerTest, StatsToStringNamesEveryCounter) {
+  // Every counter, in declaration order, each with a distinct value.
+  ServerStats stats;
+  stats.submitted.store(100);
+  stats.admitted.store(101);
+  stats.rejected_queue_full.store(102);
+  stats.rejected_deadline.store(103);
+  stats.rejected_unavailable.store(104);
+  stats.completed_ok.store(105);
+  stats.completed_error.store(106);
+  stats.batch_launches.store(107);
+  stats.coalesced_fallbacks.store(108);
+  stats.retries.store(109);
+  stats.backoff_ticks_slept.store(110);
+  stats.scrub_steps.store(111);
+  stats.scrub_resizes.store(112);
+  stats.scrub_corruption_detected.store(113);
+  stats.scrub_corruption_repaired.store(114);
+  stats.scrub_corruption_unrepairable.store(115);
+  EXPECT_EQ(
+      stats.Capture().ToString(),
+      "submitted=100 admitted=101 rejected_queue_full=102"
+      " rejected_deadline=103 rejected_unavailable=104 completed_ok=105"
+      " completed_error=106 batch_launches=107 coalesced_fallbacks=108"
+      " retries=109 backoff_ticks_slept=110 scrub_steps=111"
+      " scrub_resizes=112 scrub_corruption_detected=113"
+      " scrub_corruption_repaired=114 scrub_corruption_unrepairable=115");
+}
+
 // Drives the breaker through trip -> read-only -> probe -> recovery using a
 // static (auto_resize=false) table that cannot absorb new keys once full.
 TEST(TableServerTest, BreakerTripsToReadOnlyAndRecovers) {

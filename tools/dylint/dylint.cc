@@ -27,10 +27,11 @@
 //                     suppression.  fetch_xor is always fine.
 //
 //   registry-sync     The three kill-point registries, the TableStats
-//                     counter set, and the Status detail-key set must
-//                     stay set-equal with docs/robustness.md.  This is
-//                     the build-time form of tests/test_kill_points.cc,
-//                     extended to counters and detail keys.
+//                     and ServerStats counter lists, and the Status
+//                     detail-key set must stay set-equal with
+//                     docs/robustness.md.  This is the build-time form of
+//                     tests/test_kill_points.cc, extended to counters and
+//                     detail keys.
 //
 //   bad-suppression   A `dylint:allow` that names an unknown rule or
 //                     lacks a justification string.  Not suppressible.
@@ -48,6 +49,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -483,24 +485,50 @@ void CollectArrayLiterals(const SourceFile& f, const std::string& array_name,
   }
 }
 
-/// TableStats counter members: `std::atomic<uint64_t> NAME{0};` between
-/// `class TableStats` and its first nested `struct`.
-void CollectCounters(const SourceFile& f, std::vector<RegistryEntry>* out) {
-  const size_t cls = f.code.find("class TableStats");
-  if (cls == std::string::npos) return;
-  size_t span_end = f.code.find("struct", cls);
-  if (span_end == std::string::npos) span_end = f.code.size();
-  static const std::string kDecl = "std::atomic<uint64_t>";
-  size_t pos = cls;
-  while ((pos = f.code.find(kDecl, pos)) != std::string::npos &&
-         pos < span_end) {
-    size_t i = SkipWs(f.code, pos + kDecl.size());
-    size_t end = i;
-    while (end < f.code.size() && IsIdentChar(f.code[end])) ++end;
-    if (end > i) {
-      out->push_back({f.code.substr(i, end - i), f.rel_path, f.LineOf(i)});
+/// Counter sets declared once as X-macro lists (`#define LIST(X) X(a)
+/// X(b) ...`), each documented in its own marker section.
+struct CounterSet {
+  const char* list;     // the list macro's name
+  const char* section;  // <!-- dylint:SECTION:begin/end --> in the doc
+  const char* what;     // diagnostic label
+};
+constexpr CounterSet kCounterSets[] = {
+    {"DYCUCKOO_TABLE_STATS", "counters", "TableStats counter"},
+    {"DYCUCKOO_SERVER_STATS", "server-counters", "ServerStats counter"},
+};
+
+/// The name in every `X(name` entry of `#define LIST(X) ...`, where X is
+/// whatever parameter name the definition uses.  The list runs to the
+/// first line that does not end in a backslash.
+void CollectCounterList(const SourceFile& f, const std::string& list,
+                        std::vector<RegistryEntry>* out) {
+  const std::string def = "#define " + list + "(";
+  const size_t at = f.code.find(def);
+  if (at == std::string::npos) return;
+  const size_t param_end = f.code.find(')', at + def.size());
+  if (param_end == std::string::npos) return;
+  const std::string entry =
+      f.code.substr(at + def.size(), param_end - at - def.size()) + "(";
+  size_t line_begin = param_end + 1;
+  for (;;) {
+    const size_t eol = std::min(f.code.find('\n', line_begin), f.code.size());
+    const std::string_view line(f.code.data() + line_begin, eol - line_begin);
+    for (size_t i = line.find(entry); i != std::string_view::npos;
+         i = line.find(entry, i + 1)) {
+      if (i > 0 && IsIdentChar(line[i - 1])) continue;
+      const size_t name = i + entry.size();
+      size_t end = name;
+      while (end < line.size() && IsIdentChar(line[end])) ++end;
+      if (end == name) continue;
+      out->push_back({std::string(line.substr(name, end - name)), f.rel_path,
+                      f.LineOf(line_begin + name)});
     }
-    pos = end;
+    const size_t last = line.find_last_not_of(" \t\r");
+    if (eol == f.code.size() || last == std::string_view::npos ||
+        line[last] != '\\') {
+      return;
+    }
+    line_begin = eol + 1;
   }
 }
 
@@ -592,12 +620,29 @@ void DiffSets(const std::string& what,
   }
 }
 
+/// Diffs `registered` against the backticked tokens of one marker section.
+void DiffMarkedSection(const std::string& what, const std::string& section,
+                       const std::map<std::string, RegistryEntry>& registered,
+                       const std::string& doc, const std::string& doc_rel_path,
+                       std::vector<Violation>* out) {
+  if (registered.empty()) return;
+  std::set<std::string> documented;
+  if (!MarkedSection(doc, section, &documented)) {
+    out->push_back({doc_rel_path, 1, "registry-sync",
+                    what + "s exist but " + doc_rel_path +
+                        " has no <!-- dylint:" + section +
+                        ":begin/end --> registry section"});
+    return;
+  }
+  DiffSets(what, registered, documented, doc_rel_path, out);
+}
+
 void CheckRegistrySync(const std::vector<SourceFile>& files,
                        const std::string& doc, bool have_doc,
                        const std::string& doc_rel_path,
                        std::vector<Violation>* out) {
   std::map<std::string, RegistryEntry> kill_points;
-  std::map<std::string, RegistryEntry> counters;
+  std::map<std::string, RegistryEntry> counters[std::size(kCounterSets)];
   std::map<std::string, RegistryEntry> detail_keys;
   for (const SourceFile& f : files) {
     // Registries are API surface: they live in src/.  Tests exercise the
@@ -609,20 +654,26 @@ void CheckRegistrySync(const std::vector<SourceFile>& files,
     CollectArrayLiterals(f, "kReshardKillPointNames", &entries);
     CollectArrayLiterals(f, "kSweepKillPointNames", &entries);
     for (auto& e : entries) kill_points.emplace(e.name, e);
-    entries.clear();
-    CollectCounters(f, &entries);
-    for (auto& e : entries) counters.emplace(e.name, e);
+    for (size_t i = 0; i < std::size(kCounterSets); ++i) {
+      entries.clear();
+      CollectCounterList(f, kCounterSets[i].list, &entries);
+      for (auto& e : entries) counters[i].emplace(e.name, e);
+    }
     entries.clear();
     CollectDetailKeys(f, &entries);
     for (auto& e : entries) detail_keys.emplace(e.name, e);
   }
-  if (kill_points.empty() && counters.empty() && detail_keys.empty()) return;
+  const RegistryEntry* any = nullptr;
+  if (!kill_points.empty()) any = &kill_points.begin()->second;
+  for (const auto& set : counters) {
+    if (any == nullptr && !set.empty()) any = &set.begin()->second;
+  }
+  if (any == nullptr && !detail_keys.empty()) {
+    any = &detail_keys.begin()->second;
+  }
+  if (any == nullptr) return;
   if (!have_doc) {
-    const auto& any = !kill_points.empty()
-                          ? kill_points.begin()->second
-                          : (!counters.empty() ? counters.begin()->second
-                                               : detail_keys.begin()->second);
-    out->push_back({any.path, any.line, "registry-sync",
+    out->push_back({any->path, any->line, "registry-sync",
                     "registries are defined in code but " + doc_rel_path +
                         " does not exist"});
     return;
@@ -635,29 +686,12 @@ void CheckRegistrySync(const std::vector<SourceFile>& files,
     }
     DiffSets("kill point", kill_points, documented, doc_rel_path, out);
   }
-  if (!counters.empty()) {
-    std::set<std::string> documented;
-    if (!MarkedSection(doc, "counters", &documented)) {
-      out->push_back({doc_rel_path, 1, "registry-sync",
-                      "TableStats counters exist but " + doc_rel_path +
-                          " has no <!-- dylint:counters:begin/end --> "
-                          "registry section"});
-    } else {
-      DiffSets("TableStats counter", counters, documented, doc_rel_path, out);
-    }
+  for (size_t i = 0; i < std::size(kCounterSets); ++i) {
+    DiffMarkedSection(kCounterSets[i].what, kCounterSets[i].section,
+                      counters[i], doc, doc_rel_path, out);
   }
-  if (!detail_keys.empty()) {
-    std::set<std::string> documented;
-    if (!MarkedSection(doc, "details", &documented)) {
-      out->push_back({doc_rel_path, 1, "registry-sync",
-                      "Status detail keys exist but " + doc_rel_path +
-                          " has no <!-- dylint:details:begin/end --> "
-                          "registry section"});
-    } else {
-      DiffSets("Status detail key", detail_keys, documented, doc_rel_path,
-               out);
-    }
-  }
+  DiffMarkedSection("Status detail key", "details", detail_keys, doc,
+                    doc_rel_path, out);
 }
 
 // ---------------------------------------------------------------------------
