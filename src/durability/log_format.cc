@@ -7,30 +7,6 @@
 namespace dycuckoo {
 namespace durability {
 
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-}  // namespace
-
 void AppendFrame(std::string* out, uint64_t lsn, WalRecordType type,
                  const void* payload, size_t payload_len) {
   // Built in place at the end of `out`: body first, then the header that

@@ -48,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace dycuckoo {
@@ -109,6 +110,28 @@ inline constexpr const char* kReshardKillPointNames[] = {
 };
 inline constexpr size_t kNumReshardKillPoints =
     sizeof(kReshardKillPointNames) / sizeof(kReshardKillPointNames[0]);
+
+/// Fixed-width host-order fields, the one encoding every durable format
+/// (WAL, checkpoint store, shard manifest, reshard journal) uses.
+inline void PutU32(std::string* out, uint32_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+inline void PutU64(std::string* out, uint64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+inline uint32_t GetU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline uint64_t GetU64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
 /// Outcome of parsing one frame (or the file header) at a given offset.
 enum class ParseResult {

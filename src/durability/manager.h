@@ -28,12 +28,12 @@
 #define DYCUCKOO_DURABILITY_MANAGER_H_
 
 #include <cstdint>
-#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "common/status.h"
 #include "durability/checkpoint.h"
+#include "durability/recovery.h"
 #include "durability/wal.h"
 #include "dycuckoo/dynamic_table.h"
 #include "gpusim/fault_injector.h"
@@ -66,14 +66,6 @@ struct DurabilityStats {
   uint64_t checkpoint_failures = 0;
   uint64_t checkpoint_skips = 0;  // trigger hit but WAL had retained records
   uint64_t truncations = 0;
-};
-
-/// Outcome of a targeted key read-back from durable state (PointLookup).
-enum class PointLookupResult {
-  kFound = 0,       // authoritative (key, value) recovered
-  kErased = 1,      // the key's last durable action was an erase
-  kAbsent = 2,      // durable state has no trace of the key
-  kUnreadable = 3,  // durable images cannot answer authoritatively
 };
 
 template <typename Key, typename Value>
@@ -205,81 +197,15 @@ class DurabilityManager {
 
   // --- Targeted repair (called by the scrub escalation path) ---------------
 
-  /// Re-derives the authoritative state of ONE key from the durable
-  /// images without rebuilding a table: the newest readable checkpoint
-  /// snapshot answers for everything up to its LSN, then the WAL records
-  /// after it are replayed for this key only (last action wins).  Because
-  /// acks are released only after the group commit, every acknowledged
-  /// write of the key is visible here — which is what makes the scrubber's
-  /// repair-from-durability exact rather than best-effort.
-  ///
-  /// kUnreadable means the durable state cannot answer authoritatively
-  /// (checkpoints exist but none parses, or the WAL header is unreadable);
+  /// durability::PointLookup() over this manager's durable images: the
+  /// state of ONE key as Recover() of them would rebuild it.  Because acks
+  /// are released only after the group commit, every acknowledged write of
+  /// the key is visible here — which is what makes the scrubber's
+  /// repair-from-durability exact rather than best-effort.  On kUnreadable
   /// the caller must escalate to a full-shard repair instead of guessing.
   PointLookupResult PointLookup(Key key, Value* value) const {
-    bool found = false;
-    bool erased = false;
-    Value v{};
-    uint64_t base_lsn = 0;
-    const std::string& ckpt_image = checkpoints_.durable_image();
-    if (!ckpt_image.empty()) {
-      bool have_base = false;
-      const auto entries = CheckpointStore::Scan(ckpt_image);
-      for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-        if (!it->valid) continue;
-        bool snap_found = false;
-        if (!Table::SnapshotFindKey(ckpt_image.data() + it->payload_offset,
-                                    it->payload_len, key, &v, &snap_found)) {
-          continue;  // snapshot corrupt inside an intact frame: fall back
-        }
-        have_base = true;
-        found = snap_found;
-        base_lsn = it->checkpoint_lsn;
-        break;
-      }
-      // The WAL may have been truncated up to a checkpoint none of whose
-      // entries still parse: the records that could answer are gone.
-      if (!have_base) return PointLookupResult::kUnreadable;
-    }
-    const std::string& wal_image = wal_.durable_image();
-    WalFileHeader header;
-    if (ParseWalFileHeader(wal_image.data(), wal_image.size(), &header) !=
-        ParseResult::kOk) {
-      return PointLookupResult::kUnreadable;
-    }
-    size_t offset = kWalFileHeaderBytes;
-    while (offset < wal_image.size()) {
-      ParsedRecord rec;
-      if (ParseFrame(wal_image.data() + offset, wal_image.size() - offset,
-                     &rec) != ParseResult::kOk) {
-        break;  // torn tail: nothing after it was ever acknowledged
-      }
-      offset += rec.frame_len;
-      if (rec.lsn <= base_lsn) continue;  // covered by the checkpoint base
-      if (rec.type == WalRecordType::kInsert &&
-          rec.payload_len == sizeof(Key) + sizeof(Value)) {
-        Key k{};
-        std::memcpy(&k, rec.payload, sizeof(Key));
-        if (k == key) {
-          found = true;
-          erased = false;
-          std::memcpy(&v, rec.payload + sizeof(Key), sizeof(Value));
-        }
-      } else if (rec.type == WalRecordType::kErase &&
-                 rec.payload_len == sizeof(Key)) {
-        Key k{};
-        std::memcpy(&k, rec.payload, sizeof(Key));
-        if (k == key) {
-          found = false;
-          erased = true;
-        }
-      }
-    }
-    if (found) {
-      if (value != nullptr) *value = v;
-      return PointLookupResult::kFound;
-    }
-    return erased ? PointLookupResult::kErased : PointLookupResult::kAbsent;
+    return durability::PointLookup<Key, Value>(
+        checkpoints_.durable_image(), wal_.durable_image(), key, value);
   }
 
   // --- State ---------------------------------------------------------------

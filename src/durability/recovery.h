@@ -30,6 +30,11 @@
 //      acknowledged records were lost — reported as DataLoss, never
 //      silently skipped).
 //
+// Step 2 reads the log through internal::ScanWal, the one WAL reader.
+// PointLookup() (below; the scrub repair ladder's read path) answers one
+// key from the same checkpoint choice and the same scan, so a repair sees
+// exactly the records recovery replays, with the same checks.
+//
 // The returned RecoveryReport is deterministic: two recoveries of the same
 // byte images produce identical reports (compare with Digest()).  Its
 // counters are per record, not per folded key.
@@ -43,6 +48,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -149,15 +155,9 @@ namespace internal {
 /// Insert/erase records folded per replay chunk (see the file comment).
 inline constexpr uint64_t kReplayChunk = 1 << 16;
 
-inline std::string DrainStream(std::istream& is) {
-  std::ostringstream out;
-  out << is.rdbuf();
-  return out.str();
-}
-
 /// True if any offset in [from, image.size()) parses as an intact record —
 /// the signature of mid-log corruption rather than a torn tail.
-inline bool HasIntactRecordAfter(const std::string& image, size_t from) {
+inline bool HasIntactRecordAfter(std::string_view image, size_t from) {
   if (image.size() < kWalFrameHeaderBytes + kWalRecordPrefixBytes) {
     return false;
   }
@@ -170,6 +170,111 @@ inline bool HasIntactRecordAfter(const std::string& image, size_t from) {
     }
   }
   return false;
+}
+
+/// The one reader of a WAL image, shared by Recover and PointLookup.
+/// Validates the file header, and that the log still reaches back to
+/// `base_lsn` + 1, then checks every record as it is read (framing and CRC,
+/// LSN contiguity, payload shape).  Records with lsn <= base_lsn are
+/// counted as skipped.  Above it, each insert or erase goes to
+/// `on_write(lsn, key, value)` in log order, with `value` null for an
+/// erase; a non-OK return from it ends the scan with that status.  Fills
+/// the WAL counters and the cutover list of `*report`.  An empty image
+/// holds no records.
+template <typename Key, typename Value, typename OnWrite>
+Status ScanWal(std::string_view wal_image, uint64_t base_lsn,
+               RecoveryReport* report, OnWrite&& on_write) {
+  if (wal_image.empty()) return Status::OK();
+  WalFileHeader header;
+  if (ParseWalFileHeader(wal_image.data(), wal_image.size(), &header) !=
+      ParseResult::kOk) {
+    return Status::DataLoss("recovery: WAL file header corrupt");
+  }
+  if (header.key_width != sizeof(Key) || header.value_width != sizeof(Value)) {
+    return Status::InvalidArgument(
+        "recovery: WAL key/value widths do not match this table type");
+  }
+  if (base_lsn + 1 < header.first_lsn) {
+    return Status::DataLoss(
+        "recovery: WAL truncated past the newest usable checkpoint "
+        "(need lsn " + std::to_string(base_lsn + 1) +
+        ", log starts at " + std::to_string(header.first_lsn) + ")");
+  }
+  size_t offset = kWalFileHeaderBytes;
+  uint64_t expected_lsn = header.first_lsn;
+  while (offset < wal_image.size()) {
+    ParsedRecord rec;
+    ParseResult pr = ParseFrame(wal_image.data() + offset,
+                                wal_image.size() - offset, &rec);
+    if (pr != ParseResult::kOk) {
+      if (HasIntactRecordAfter(wal_image, offset + 1)) {
+        return Status::DataLoss(
+            "recovery: corrupt WAL record at offset " +
+            std::to_string(offset) + " with intact records after it");
+      }
+      report->torn_tail_bytes = wal_image.size() - offset;
+      break;
+    }
+    if (rec.lsn != expected_lsn) {
+      return Status::DataLoss(
+          "recovery: LSN gap in WAL (expected " +
+          std::to_string(expected_lsn) + ", found " +
+          std::to_string(rec.lsn) + ")");
+    }
+    expected_lsn = rec.lsn + 1;
+    ++report->wal_records_scanned;
+    report->last_lsn = rec.lsn;
+    offset += rec.frame_len;
+    if (rec.lsn <= base_lsn) {
+      ++report->wal_records_skipped;
+      continue;
+    }
+    switch (rec.type) {
+      case WalRecordType::kInsert: {
+        if (rec.payload_len != sizeof(Key) + sizeof(Value)) {
+          return Status::DataLoss("recovery: malformed insert record");
+        }
+        Key k{};
+        Value v{};
+        std::memcpy(&k, rec.payload, sizeof(Key));
+        std::memcpy(&v, rec.payload + sizeof(Key), sizeof(Value));
+        if (k == DynamicTable<Key, Value>::kEmptyKey) {
+          return Status::InvalidArgument(
+              "recovery: insert of the reserved empty key at lsn " +
+              std::to_string(rec.lsn));
+        }
+        ++report->wal_records_applied;
+        DYCUCKOO_RETURN_NOT_OK(on_write(rec.lsn, k, &v));
+        break;
+      }
+      case WalRecordType::kErase: {
+        if (rec.payload_len != sizeof(Key)) {
+          return Status::DataLoss("recovery: malformed erase record");
+        }
+        Key k{};
+        std::memcpy(&k, rec.payload, sizeof(Key));
+        ++report->wal_records_applied;
+        DYCUCKOO_RETURN_NOT_OK(on_write(rec.lsn, k, nullptr));
+        break;
+      }
+      case WalRecordType::kReshardCutover: {
+        if (rec.payload_len != kReshardCutoverPayloadBytes) {
+          return Status::DataLoss("recovery: malformed cutover record");
+        }
+        ReshardCutoverSeen seen;
+        seen.generation = GetU64(rec.payload);
+        seen.chunk = GetU32(rec.payload + 8);
+        seen.shards_from = GetU32(rec.payload + 12);
+        seen.shards_to = GetU32(rec.payload + 16);
+        report->reshard_cutovers.push_back(seen);
+        break;  // a marker: carries migration evidence, no table state
+      }
+      case WalRecordType::kResizeBarrier:
+      case WalRecordType::kCheckpointMark:
+        break;  // markers carry no table state
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace internal
@@ -188,8 +293,8 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
   report->shard_id = source.shard_id;
   report->segment = source.segment;
   out->reset();
-  const std::string ckpt_image = internal::DrainStream(checkpoint_stream);
-  const std::string wal_image = internal::DrainStream(wal_stream);
+  const std::string ckpt_image = DrainStream(checkpoint_stream);
+  const std::string wal_image = DrainStream(wal_stream);
 
   // --- 1. newest valid checkpoint -----------------------------------------
   std::unique_ptr<DynamicTable<Key, Value>> table;
@@ -201,16 +306,16 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
       ++report->checkpoints_corrupt;
       continue;
     }
-    std::istringstream snap(
-        ckpt_image.substr(it->payload_offset, it->payload_len));
-    Status st = DynamicTable<Key, Value>::Load(snap, options, &table);
+    Status st = DynamicTable<Key, Value>::Load(
+        std::string_view(ckpt_image).substr(it->payload_offset,
+                                            it->payload_len),
+        options, &table);
     if (st.ok()) {
       checkpoint_lsn = it->checkpoint_lsn;
     } else {
       // CRC-valid wrapper around an unloadable snapshot: count it and fall
       // back to the previous checkpoint rather than failing recovery.
       ++report->checkpoints_corrupt;
-      table.reset();
     }
   }
   if (!table) {
@@ -220,127 +325,104 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
   report->checkpoint_lsn = checkpoint_lsn;
 
   // --- 2. WAL replay: fold each chunk, then apply it in bulk --------------
-  if (!wal_image.empty()) {
-    WalFileHeader header;
-    if (ParseWalFileHeader(wal_image.data(), wal_image.size(), &header) !=
-        ParseResult::kOk) {
-      return Status::DataLoss("recovery: WAL file header corrupt");
+  WriteFold<Key, Value> fold;
+  uint64_t folded = 0;  // insert/erase records in `fold`
+  uint64_t chunk_first_lsn = 0;
+  uint64_t chunk_last_lsn = 0;
+  auto apply_chunk = [&]() -> Status {
+    if (folded == 0) return Status::OK();
+    Status st = fold.ApplyTo(table.get());
+    if (!st.ok()) {
+      return Status::Internal(
+          "recovery: replay of WAL records at lsn " +
+          std::to_string(chunk_first_lsn) + ".." +
+          std::to_string(chunk_last_lsn) + " failed: " + st.ToString());
     }
-    if (header.key_width != sizeof(Key) ||
-        header.value_width != sizeof(Value)) {
-      return Status::InvalidArgument(
-          "recovery: WAL key/value widths do not match this table type");
-    }
-    if (checkpoint_lsn + 1 < header.first_lsn) {
-      return Status::DataLoss(
-          "recovery: WAL truncated past the newest usable checkpoint "
-          "(need lsn " + std::to_string(checkpoint_lsn + 1) +
-          ", log starts at " + std::to_string(header.first_lsn) + ")");
-    }
-    WriteFold<Key, Value> fold;
-    uint64_t folded = 0;  // insert/erase records in `fold`
-    uint64_t chunk_first_lsn = 0;
-    uint64_t chunk_last_lsn = 0;
-    auto fold_record = [&](uint64_t lsn) {
-      if (folded++ == 0) chunk_first_lsn = lsn;
-      chunk_last_lsn = lsn;
-      ++report->wal_records_applied;
-    };
-    auto apply_chunk = [&]() -> Status {
-      if (folded == 0) return Status::OK();
-      Status st = fold.ApplyTo(table.get());
-      if (!st.ok()) {
-        return Status::Internal(
-            "recovery: replay of WAL records at lsn " +
-            std::to_string(chunk_first_lsn) + ".." +
-            std::to_string(chunk_last_lsn) + " failed: " + st.ToString());
-      }
-      fold.Clear();
-      folded = 0;
-      return Status::OK();
-    };
-    size_t offset = kWalFileHeaderBytes;
-    uint64_t expected_lsn = header.first_lsn;
-    while (offset < wal_image.size()) {
-      ParsedRecord rec;
-      ParseResult pr = ParseFrame(wal_image.data() + offset,
-                                  wal_image.size() - offset, &rec);
-      if (pr != ParseResult::kOk) {
-        if (internal::HasIntactRecordAfter(wal_image, offset + 1)) {
-          return Status::DataLoss(
-              "recovery: corrupt WAL record at offset " +
-              std::to_string(offset) + " with intact records after it");
+    fold.Clear();
+    folded = 0;
+    return Status::OK();
+  };
+  Status scanned = internal::ScanWal<Key, Value>(
+      wal_image, checkpoint_lsn, report,
+      [&](uint64_t lsn, Key key, const Value* value) -> Status {
+        if (value != nullptr) {
+          fold.Upsert(key, *value);
+        } else {
+          fold.Erase(key);  // idempotent; absent key is fine
         }
-        report->torn_tail_bytes = wal_image.size() - offset;
-        break;
-      }
-      if (rec.lsn != expected_lsn) {
-        return Status::DataLoss(
-            "recovery: LSN gap in WAL (expected " +
-            std::to_string(expected_lsn) + ", found " +
-            std::to_string(rec.lsn) + ")");
-      }
-      expected_lsn = rec.lsn + 1;
-      ++report->wal_records_scanned;
-      report->last_lsn = rec.lsn;
-      offset += rec.frame_len;
-      if (rec.lsn <= checkpoint_lsn) {
-        ++report->wal_records_skipped;
-        continue;
-      }
-      switch (rec.type) {
-        case WalRecordType::kInsert: {
-          if (rec.payload_len != sizeof(Key) + sizeof(Value)) {
-            return Status::DataLoss("recovery: malformed insert record");
-          }
-          Key k;
-          Value v;
-          std::memcpy(&k, rec.payload, sizeof(Key));
-          std::memcpy(&v, rec.payload + sizeof(Key), sizeof(Value));
-          if (k == DynamicTable<Key, Value>::kEmptyKey) {
-            return Status::InvalidArgument(
-                "recovery: insert of the reserved empty key at lsn " +
-                std::to_string(rec.lsn));
-          }
-          fold.Upsert(k, v);
-          fold_record(rec.lsn);
-          break;
-        }
-        case WalRecordType::kErase: {
-          if (rec.payload_len != sizeof(Key)) {
-            return Status::DataLoss("recovery: malformed erase record");
-          }
-          Key k;
-          std::memcpy(&k, rec.payload, sizeof(Key));
-          fold.Erase(k);  // idempotent; absent key is fine
-          fold_record(rec.lsn);
-          break;
-        }
-        case WalRecordType::kReshardCutover: {
-          if (rec.payload_len != kReshardCutoverPayloadBytes) {
-            return Status::DataLoss("recovery: malformed cutover record");
-          }
-          ReshardCutoverSeen seen;
-          std::memcpy(&seen.generation, rec.payload, 8);
-          std::memcpy(&seen.chunk, rec.payload + 8, 4);
-          std::memcpy(&seen.shards_from, rec.payload + 12, 4);
-          std::memcpy(&seen.shards_to, rec.payload + 16, 4);
-          report->reshard_cutovers.push_back(seen);
-          break;  // a marker: carries migration evidence, no table state
-        }
-        case WalRecordType::kResizeBarrier:
-        case WalRecordType::kCheckpointMark:
-          break;  // markers carry no table state
-      }
-      if (folded == internal::kReplayChunk) {
-        DYCUCKOO_RETURN_NOT_OK(apply_chunk());
-      }
-    }
-    DYCUCKOO_RETURN_NOT_OK(apply_chunk());
-  }
+        if (folded++ == 0) chunk_first_lsn = lsn;
+        chunk_last_lsn = lsn;
+        return folded == internal::kReplayChunk ? apply_chunk()
+                                                : Status::OK();
+      });
+  DYCUCKOO_RETURN_NOT_OK(scanned);
+  DYCUCKOO_RETURN_NOT_OK(apply_chunk());
 
   *out = std::move(table);
   return Status::OK();
+}
+
+/// Outcome of a targeted key read-back from durable state (PointLookup).
+enum class PointLookupResult {
+  kFound = 0,       // authoritative (key, value) recovered
+  kErased = 1,      // the key's last durable action was an erase
+  kAbsent = 2,      // durable state has no trace of the key
+  kUnreadable = 3,  // Recover() of these images fails
+};
+
+/// Re-derives the state of ONE key from a checkpoint image and a WAL image
+/// without rebuilding a table, reading them exactly as Recover() does.
+/// The base is the newest intact checkpoint entry whose snapshot parses
+/// (none: the empty table at LSN 0); then the WAL records after it, seen
+/// through Recover's own scan, decide the key (last action wins).
+/// kUnreadable exactly when Recover() of the same images fails on their
+/// bytes: a corrupt WAL header, a log truncated past the base, mid-log
+/// corruption, an LSN gap, a malformed record.
+template <typename Key, typename Value>
+PointLookupResult PointLookup(const std::string& checkpoint_image,
+                              const std::string& wal_image, Key key,
+                              Value* value) {
+  using Table = DynamicTable<Key, Value>;
+  bool found = false;
+  bool erased = false;
+  Value v{};
+  uint64_t base_lsn = 0;
+  const std::vector<CheckpointEntryView> entries =
+      CheckpointStore::Scan(checkpoint_image);
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    typename Table::SnapshotView snap;
+    if (!it->valid ||
+        !Table::ParseSnapshot(std::string_view(checkpoint_image)
+                                  .substr(it->payload_offset, it->payload_len),
+                              &snap)
+             .ok()) {
+      continue;  // fall back to the previous entry, as Recover does
+    }
+    base_lsn = it->checkpoint_lsn;
+    for (uint64_t i = 0; i < snap.count && !found; ++i) {
+      if (snap.key(i) == key) {
+        found = true;
+        v = snap.value(i);
+      }
+    }
+    break;
+  }
+  RecoveryReport scan;
+  Status st = internal::ScanWal<Key, Value>(
+      wal_image, base_lsn, &scan, [&](uint64_t, Key k, const Value* w) {
+        if (k == key) {
+          found = w != nullptr;
+          erased = w == nullptr;
+          if (found) v = *w;
+        }
+        return Status::OK();
+      });
+  if (!st.ok()) return PointLookupResult::kUnreadable;
+  if (found) {
+    if (value != nullptr) *value = v;
+    return PointLookupResult::kFound;
+  }
+  return erased ? PointLookupResult::kErased : PointLookupResult::kAbsent;
 }
 
 }  // namespace durability

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/hash.h"
+#include "durability/log_format.h"
 
 namespace dycuckoo {
 namespace durability {
@@ -18,29 +19,22 @@ std::string FixedWidth(const char* prefix, uint32_t shard_id,
   return buf;
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 void PutString(std::string* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
 
+// Bounds-checked, offset-advancing readers over the shared GetU32/GetU64.
 bool GetU32(const std::string& in, size_t* off, uint32_t* v) {
   if (*off + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *off, sizeof(*v));
+  *v = durability::GetU32(in.data() + *off);
   *off += sizeof(*v);
   return true;
 }
 
 bool GetU64(const std::string& in, size_t* off, uint64_t* v) {
   if (*off + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *off, sizeof(*v));
+  *v = durability::GetU64(in.data() + *off);
   *off += sizeof(*v);
   return true;
 }
@@ -137,8 +131,7 @@ Status ShardManifest::Decode(const std::string& image, ShardManifest* out) {
   if (image.size() > total_len) {
     return Status::DataLoss("shard manifest: trailing bytes after trailer");
   }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, image.data() + image.size() - 4, 4);
+  const uint32_t stored_crc = GetU32(image.data() + image.size() - 4);
   uint32_t actual_crc = Crc32Update(0, image.data() + 8, image.size() - 8 - 4);
   if (stored_crc != actual_crc) {
     return Status::DataLoss("shard manifest: CRC mismatch");
@@ -245,8 +238,7 @@ Status ReshardJournal::Decode(const std::string& image, ReshardJournal* out) {
   if (image.size() < off + 4) {
     return Status::DataLoss("reshard journal: truncated");
   }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, image.data() + image.size() - 4, 4);
+  const uint32_t stored_crc = GetU32(image.data() + image.size() - 4);
   uint32_t actual_crc = Crc32Update(0, image.data() + 8, image.size() - 8 - 4);
   if (stored_crc != actual_crc) {
     return Status::DataLoss("reshard journal: CRC mismatch");

@@ -29,7 +29,9 @@
 #include <memory>
 #include <ostream>
 #include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -52,6 +54,14 @@
 #include "gpusim/warp.h"
 
 namespace dycuckoo {
+
+/// Every byte left in `is`, in one string.  It grows with the bytes the
+/// stream holds, never with a length read from them.
+inline std::string DrainStream(std::istream& is) {
+  std::ostringstream out;
+  out << is.rdbuf();
+  return std::move(out).str();
+}
 
 /// \brief Dynamic two-layer cuckoo hash table.
 ///
@@ -272,70 +282,107 @@ class DynamicTable {
     return Status::OK();
   }
 
-  /// Rebuilds a table from a Save() snapshot under the given options.
-  /// Verifies the CRC-32 trailer.
-  static Status Load(std::istream& is, const DyCuckooOptions& options,
-                     std::unique_ptr<DynamicTable>* out) {
-    uint64_t magic = 0;
-    is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!is.good()) return Status::InvalidArgument("not a DyCuckoo snapshot");
-    if (magic != kSnapshotMagicV2) {
+  /// The pairs of a parsed Save() image, viewed in place (not owned).
+  struct SnapshotView {
+    const char* pairs = nullptr;  // `count` interleaved (key, value) pairs
+    uint64_t count = 0;
+
+    Key key(uint64_t i) const {
+      Key k{};
+      std::memcpy(&k, pairs + i * kPairBytes, sizeof(Key));
+      return k;
+    }
+    Value value(uint64_t i) const {
+      Value v{};
+      std::memcpy(&v, pairs + i * kPairBytes + sizeof(Key), sizeof(Value));
+      return v;
+    }
+  };
+
+  /// The one reader of the v2 snapshot format.  Checks the magic, version
+  /// and widths, then that the entry count plus the CRC trailer is exactly
+  /// the rest of the image (bytes after the trailer are corruption too),
+  /// then the CRC.  Nothing is sized from the count before it matches the
+  /// image length.
+  static Status ParseSnapshot(std::string_view image, SnapshotView* view) {
+    constexpr size_t kHeaderBytes = 5 * sizeof(uint64_t);
+    uint64_t header[5] = {0, 0, 0, 0, 0};
+    if (!image.empty()) {
+      std::memcpy(header, image.data(), std::min(image.size(), kHeaderBytes));
+    }
+    if (image.size() < sizeof(uint64_t) || header[0] != kSnapshotMagicV2) {
       return Status::InvalidArgument("not a DyCuckoo snapshot");
     }
-    uint64_t header[4] = {0, 0, 0, 0};
-    is.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (!is.good()) {
+    if (image.size() < kHeaderBytes) {
       return Status::DataLoss("snapshot corrupt: truncated header");
     }
-    if (header[0] != kSnapshotFormatVersion) {
+    if (header[1] != kSnapshotFormatVersion) {
       return Status::InvalidArgument("unsupported snapshot format version " +
-                                     std::to_string(header[0]));
+                                     std::to_string(header[1]));
     }
-    if (header[1] != sizeof(Key) || header[2] != sizeof(Value)) {
+    if (header[2] != sizeof(Key) || header[3] != sizeof(Value)) {
       return Status::InvalidArgument("snapshot key/value width mismatch");
     }
-    uint32_t crc = Crc32Update(0, header, sizeof(header));
-    // Build into a local table and publish only on success: a corrupt
-    // stream must never hand the caller a partially-populated table.
+    const uint64_t count = header[4];
+    const size_t body = image.size() - kHeaderBytes;
+    if (count > body / kPairBytes) {
+      return Status::DataLoss("snapshot corrupt: truncated payload");
+    }
+    const size_t payload = count * kPairBytes;
+    if (body - payload < sizeof(uint32_t)) {
+      return Status::DataLoss("snapshot corrupt: missing CRC trailer");
+    }
+    if (body - payload > sizeof(uint32_t)) {
+      return Status::DataLoss(
+          "snapshot corrupt: " +
+          std::to_string(body - payload - sizeof(uint32_t)) +
+          " bytes after the CRC trailer");
+    }
+    uint32_t stored_crc = 0;
+    std::memcpy(&stored_crc, image.data() + kHeaderBytes + payload,
+                sizeof(stored_crc));
+    if (Crc32Update(0, image.data() + sizeof(uint64_t),
+                    kHeaderBytes - sizeof(uint64_t) + payload) != stored_crc) {
+      return Status::DataLoss("snapshot corrupt: CRC mismatch");
+    }
+    *view = SnapshotView{image.data() + kHeaderBytes, count};
+    return Status::OK();
+  }
+
+  /// Rebuilds a table from a Save() image under the given options.  The
+  /// image is parsed whole (ParseSnapshot) before a table exists, so a
+  /// corrupt image costs no device memory and never hands the caller a
+  /// partially-populated table.
+  static Status Load(std::string_view image, const DyCuckooOptions& options,
+                     std::unique_ptr<DynamicTable>* out) {
+    SnapshotView snap;
+    DYCUCKOO_RETURN_NOT_OK(ParseSnapshot(image, &snap));
     std::unique_ptr<DynamicTable> table;
     DYCUCKOO_RETURN_NOT_OK(Create(options, &table));
-    const uint64_t count = header[3];
     if (table->options_.auto_resize) {
-      DYCUCKOO_RETURN_NOT_OK(table->Reserve(count));
+      DYCUCKOO_RETURN_NOT_OK(table->Reserve(snap.count));
     }
-    // Each chunk is one read of its interleaved (key, value) bytes and one
-    // CRC update over them, then a split into the BulkInsert columns.
-    std::vector<Key> keys(std::min(count, kSnapshotChunkPairs));
+    std::vector<Key> keys(std::min(snap.count, kSnapshotChunkPairs));
     std::vector<Value> values(keys.size());
-    std::vector<char> staging(keys.size() * kPairBytes);
-    uint64_t remaining = count;
-    while (remaining > 0) {
-      uint64_t n = std::min(remaining, kSnapshotChunkPairs);
-      is.read(staging.data(), static_cast<std::streamsize>(n * kPairBytes));
-      if (!is.good()) {
-        return Status::DataLoss("snapshot corrupt: truncated payload");
-      }
-      crc = Crc32Update(crc, staging.data(), n * kPairBytes);
+    for (uint64_t done = 0; done < snap.count;) {
+      const uint64_t n = std::min(snap.count - done, kSnapshotChunkPairs);
       for (uint64_t i = 0; i < n; ++i) {
-        const char* pair = staging.data() + i * kPairBytes;
-        std::memcpy(&keys[i], pair, sizeof(Key));
-        std::memcpy(&values[i], pair + sizeof(Key), sizeof(Value));
+        keys[i] = snap.key(done + i);
+        values[i] = snap.value(done + i);
       }
       DYCUCKOO_RETURN_NOT_OK(table->BulkInsert(
           std::span<const Key>(keys.data(), n),
           std::span<const Value>(values.data(), n)));
-      remaining -= n;
-    }
-    uint32_t stored_crc = 0;
-    is.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
-    if (!is.good()) {
-      return Status::DataLoss("snapshot corrupt: missing CRC trailer");
-    }
-    if (stored_crc != crc) {
-      return Status::DataLoss("snapshot corrupt: CRC mismatch");
+      done += n;
     }
     *out = std::move(table);
     return Status::OK();
+  }
+
+  /// Load() of every byte left in `is`.
+  static Status Load(std::istream& is, const DyCuckooOptions& options,
+                     std::unique_ptr<DynamicTable>* out) {
+    return Load(DrainStream(is), options, out);
   }
 
   // ---------------------------------------------------------------------
@@ -906,48 +953,6 @@ class DynamicTable {
     if (n) stats_.scrub_unrepairable.fetch_add(n, kRelaxed);
   }
 
-  /// Looks up one key in a raw Save() image without rebuilding a table —
-  /// the targeted-repair read path (checkpoint side of the point lookup).
-  /// Returns false when the image is not a well-formed, CRC-clean v2
-  /// snapshot for these Key/Value widths; otherwise true, with `*found`
-  /// and (on a hit) `*value` set.
-  static bool SnapshotFindKey(const char* data, size_t len, Key key,
-                              Value* value, bool* found) {
-    *found = false;
-    constexpr size_t kHeaderBytes = 5 * sizeof(uint64_t);
-    if (data == nullptr || len < kHeaderBytes + sizeof(uint32_t)) return false;
-    uint64_t header[5];
-    std::memcpy(header, data, kHeaderBytes);
-    if (header[0] != kSnapshotMagicV2 ||
-        header[1] != kSnapshotFormatVersion || header[2] != sizeof(Key) ||
-        header[3] != sizeof(Value)) {
-      return false;
-    }
-    const uint64_t count = header[4];
-    const size_t pair_bytes = sizeof(Key) + sizeof(Value);
-    const size_t payload = len - kHeaderBytes - sizeof(uint32_t);
-    if (payload % pair_bytes != 0 || payload / pair_bytes != count) {
-      return false;
-    }
-    uint32_t crc =
-        Crc32Update(0, data + sizeof(uint64_t), 4 * sizeof(uint64_t));
-    crc = Crc32Update(crc, data + kHeaderBytes, payload);
-    uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data + kHeaderBytes + payload,
-                sizeof(stored_crc));
-    if (stored_crc != crc) return false;
-    const char* p = data + kHeaderBytes;
-    for (uint64_t i = 0; i < count; ++i, p += pair_bytes) {
-      Key k{};
-      std::memcpy(&k, p, sizeof(Key));
-      if (k != key) continue;
-      *found = true;
-      if (value != nullptr) std::memcpy(value, p + sizeof(Key), sizeof(Value));
-      return true;
-    }
-    return true;
-  }
-
   /// TEST HOOK: XORs one stored bit of the slot currently holding `key` —
   /// in its key word (region 0), value word (region 1) or integrity tag
   /// (region 2) — bypassing the delta-maintained mutators.  This plants
@@ -1127,8 +1132,8 @@ class DynamicTable {
   /// Version-2 snapshot magic (format-version field + CRC-32 trailer).
   static constexpr uint64_t kSnapshotMagicV2 = 0xD1C0CC00'5A4B1706ULL;
   static constexpr uint64_t kSnapshotFormatVersion = 2;
-  /// Save and Load move snapshot pairs in chunks of at most this many, one
-  /// stream call and one CRC update per chunk.
+  /// Save writes snapshot pairs in chunks of at most this many (one stream
+  /// call and one CRC update each); Load bulk-inserts them in such chunks.
   static constexpr uint64_t kSnapshotChunkPairs = 1 << 16;
   /// Bytes of one interleaved (key, value) snapshot pair.
   static constexpr size_t kPairBytes = sizeof(Key) + sizeof(Value);

@@ -16,8 +16,8 @@ Status DyCuckooOptions::Validate() const {
   // subtables, shrinking the filled factor only to theta * d/(d+1) — not to
   // theta/2 as a whole-table rehash would.  If the shrink landed at or below
   // alpha, the very next batch of deletions would trigger a downsize and the
-  // table could oscillate between resize directions on every flush.  The
-  // An upsize fires only when theta > beta, so the post-upsize factor
+  // table could oscillate between resize directions on every flush.  An
+  // upsize fires only when theta > beta, so the post-upsize factor
   // exceeds beta * d/(d+1); the paper's hard requirement alpha < d/(d+1) is
   // the beta -> 1 limit of the no-oscillation condition alpha <=
   // beta * d/(d+1).  For d=2 the boundary is 2/3: alpha = 0.66 is accepted,

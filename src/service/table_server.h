@@ -74,6 +74,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -441,35 +442,17 @@ class TableServer {
       uint64_t cursor = 0;
       for (Pending& p : runnable) {
         const bool write = HasWrite(p.request);
-        Response resp;
-        if (write && !commit.ok()) {
-          // The ops are applied but the flush failed cleanly: the write is
-          // live yet not durable, and honesty demands saying so.
-          resp.status = Status::DataLoss("write applied but not durable: " +
-                                         commit.message());
-        } else {
-          resp.status = Status::OK();
-        }
-        resp.attempts = 1;
-        resp.results.resize(p.request.ops.size());
-        for (size_t i = 0; i < p.request.ops.size(); ++i, ++cursor) {
-          resp.results[i].hit = ops[cursor].hit;
-          resp.results[i].value = ops[cursor].value;
-        }
-        resp.completed_at = clock_->Now();
-        if (write) {
-          if (resp.status.ok()) {
-            breaker_.OnWriteSuccess();
-          } else {
-            breaker_.OnWriteFailure(clock_->Now());
-          }
-        }
-        if (resp.status.ok()) {
-          stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          stats_.completed_error.fetch_add(1, std::memory_order_relaxed);
-        }
-        Complete(p.id, std::move(resp));
+        const size_t n = p.request.ops.size();
+        // The ops are applied but the flush failed cleanly: the write is
+        // live yet not durable, and honesty demands saying so.
+        Status status = write && !commit.ok()
+                            ? Status::DataLoss(
+                                  "write applied but not durable: " +
+                                  commit.message())
+                            : Status::OK();
+        Finish(p, std::move(status), /*attempts=*/1, write,
+               std::span<const MixedOp>(ops).subspan(cursor, n));
+        cursor += n;
         ++completed;
       }
       return completed;
@@ -488,12 +471,12 @@ class TableServer {
     return completed;
   }
 
-  /// Appends one WAL record per write op across the batch's successful
-  /// requests, then flushes them with a single group commit.  OK when no
+  /// Appends one WAL record per write op of `requests`, in request and op
+  /// order, then flushes them with a single group commit.  OK when no
   /// durability manager is attached.
-  Status LogAndCommitWrites(const std::vector<Pending>& runnable) {
+  Status LogAndCommitWrites(std::span<const Pending> requests) {
     if (durability_ == nullptr) return Status::OK();
-    for (const Pending& p : runnable) {
+    for (const Pending& p : requests) {
       for (const Op& op : p.request.ops) {
         if (op.type == OpType::kInsert) {
           durability_->LogInsert(op.key, op.value);
@@ -503,6 +486,34 @@ class TableServer {
       }
     }
     return durability_->Commit();
+  }
+
+  /// Completes `p` with `status` and its ops' results, and feeds the
+  /// outcome to the breaker (writes only) and the completion counters.
+  void Finish(const Pending& p, Status status, uint32_t attempts, bool write,
+              std::span<const MixedOp> results) {
+    Response resp;
+    resp.status = std::move(status);
+    resp.attempts = attempts;
+    resp.results.resize(results.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      resp.results[i].hit = results[i].hit;
+      resp.results[i].value = results[i].value;
+    }
+    resp.completed_at = clock_->Now();
+    if (write) {
+      if (resp.status.ok()) {
+        breaker_.OnWriteSuccess();
+      } else {
+        breaker_.OnWriteFailure(clock_->Now());
+      }
+    }
+    if (resp.status.ok()) {
+      stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      stats_.completed_error.fetch_add(1, std::memory_order_relaxed);
+    }
+    Complete(p.id, std::move(resp));
   }
 
   /// Runs one request's ops alone, retrying per policy while the deadline
@@ -553,44 +564,15 @@ class TableServer {
     // Only an OK execution is acknowledged as applied, so only OK writes
     // enter the WAL (non-OK partial applications are "uncertain" by the
     // side-effect contract; checkpoints still capture whatever stuck).
-    if (st.ok() && has_write && durability_ != nullptr) {
-      for (const Op& op : p->request.ops) {
-        if (op.type == OpType::kInsert) {
-          durability_->LogInsert(op.key, op.value);
-        } else if (op.type == OpType::kErase) {
-          durability_->LogErase(op.key);
-        }
-      }
-      Status commit = durability_->Commit();
+    if (st.ok() && has_write) {
+      Status commit = LogAndCommitWrites(std::span<const Pending>(p, 1));
       if (crashed()) return;  // simulated death: the ack never leaves
       if (!commit.ok()) {
         st = Status::DataLoss("write applied but not durable: " +
                               commit.message());
       }
     }
-
-    Response resp;
-    resp.status = st;
-    resp.attempts = attempts;
-    resp.completed_at = clock_->Now();
-    resp.results.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      resp.results[i].hit = ops[i].hit;
-      resp.results[i].value = ops[i].value;
-    }
-    if (has_write) {
-      if (st.ok()) {
-        breaker_.OnWriteSuccess();
-      } else {
-        breaker_.OnWriteFailure(clock_->Now());
-      }
-    }
-    if (st.ok()) {
-      stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.completed_error.fetch_add(1, std::memory_order_relaxed);
-    }
-    Complete(p->id, std::move(resp));
+    Finish(*p, std::move(st), attempts, has_write, ops);
   }
 
   /// One bounded scrub slice between batches.

@@ -22,14 +22,18 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "durability/log_format.h"
 #include "durability/manager.h"
+#include "durability/recovery.h"
 #include "durability/sharded.h"
 #include "dycuckoo/dynamic_table.h"
 #include "dycuckoo/options.h"
@@ -361,6 +365,160 @@ TEST(PointLookup, WalOnlyLineageAnswersWithoutAnyCheckpoint) {
   EXPECT_EQ(v, 70u);
   EXPECT_EQ(mgr.PointLookup(8, nullptr), PointLookupResult::kErased);
   EXPECT_EQ(mgr.PointLookup(9, nullptr), PointLookupResult::kAbsent);
+}
+
+// --- PointLookup against Recover, key for key -----------------------------
+
+constexpr uint32_t kLookupUniverse = 48;
+
+struct DurableImages {
+  std::string checkpoints;
+  std::string wal;
+};
+
+// The durable images of a seeded insert/erase stream over keys
+// 1..kLookupUniverse: four rounds of 60 ops, one group commit each, and a
+// checkpoint after each of the first three.  With `truncate_wal` the log
+// keeps only the records after the previous checkpoint.
+DurableImages SeededDurableImages(uint64_t seed, bool truncate_wal) {
+  durability::DurabilityOptions dopt;
+  dopt.checkpoint_wal_bytes = 0;  // explicit CheckpointNow only
+  dopt.truncate_wal = truncate_wal;
+  Manager mgr(dopt);
+  DyCuckooOptions o;
+  o.initial_capacity = 1024;
+  auto t = MakeTable(o);
+  SplitMix64 rng(seed);
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 60; ++i) {
+      const auto k = static_cast<uint32_t>(1 + rng.Next() % kLookupUniverse);
+      if (rng.Next() % 3 == 0) {
+        t->Erase(k);
+        mgr.LogErase(k);
+      } else {
+        const auto v = static_cast<uint32_t>(rng.Next());
+        EXPECT_TRUE(t->Insert(k, v).ok());
+        mgr.LogInsert(k, v);
+      }
+    }
+    EXPECT_TRUE(mgr.Commit().ok());
+    if (round < 3) {
+      EXPECT_TRUE(mgr.CheckpointNow(t.get()).ok());
+    }
+  }
+  return {mgr.checkpoints().durable_image(), mgr.wal().durable_image()};
+}
+
+// [offset, offset + length) of every record frame in a WAL image.
+std::vector<std::pair<size_t, size_t>> WalFrames(const std::string& wal) {
+  std::vector<std::pair<size_t, size_t>> frames;
+  size_t off = durability::kWalFileHeaderBytes;
+  durability::ParsedRecord rec;
+  while (off < wal.size() &&
+         durability::ParseFrame(wal.data() + off, wal.size() - off, &rec) ==
+             durability::ParseResult::kOk) {
+    frames.emplace_back(off, rec.frame_len);
+    off += rec.frame_len;
+  }
+  return frames;
+}
+
+// Flips one payload byte of checkpoint entry `e`.  With `reseal` the
+// entry's own CRC is recomputed, so the frame stays intact and only the
+// snapshot inside it is corrupt.
+void CorruptCheckpointEntry(std::string* image,
+                            const durability::CheckpointEntryView& e,
+                            SplitMix64* rng, bool reseal) {
+  (*image)[e.payload_offset + rng->Next() % e.payload_len] ^= 0x20;
+  if (!reseal) return;
+  const size_t crc_at = e.payload_offset + e.payload_len;
+  const uint32_t crc = Crc32Update(0, image->data() + e.entry_offset + 8,
+                                   crc_at - e.entry_offset - 8);
+  std::memcpy(image->data() + crc_at, &crc, sizeof(crc));
+}
+
+// For every key of the universe (and a few never written): kFound(v) iff
+// the recovered table finds v, kErased/kAbsent iff it does not, and
+// kUnreadable iff Recover fails.  `recover_ok` pins which way Recover goes,
+// so each scenario covers what it claims to.
+void ExpectLookupMatchesRecover(const DurableImages& im, bool recover_ok) {
+  std::istringstream ckpt(im.checkpoints);
+  std::istringstream wal(im.wal);
+  std::unique_ptr<Table> table;
+  durability::RecoveryReport report;
+  Status st = durability::Recover<uint32_t, uint32_t>(
+      ckpt, wal, DyCuckooOptions{}, &table, &report);
+  ASSERT_EQ(st.ok(), recover_ok) << st.ToString();
+  for (uint32_t k = 1; k <= kLookupUniverse + 4; ++k) {
+    uint32_t v = 0;
+    const PointLookupResult r = durability::PointLookup<uint32_t, uint32_t>(
+        im.checkpoints, im.wal, k, &v);
+    if (!st.ok()) {
+      EXPECT_EQ(r, PointLookupResult::kUnreadable) << "key " << k;
+      continue;
+    }
+    uint32_t recovered = 0;
+    const bool hit = table->Find(k, &recovered);
+    EXPECT_NE(r, PointLookupResult::kUnreadable) << "key " << k;
+    EXPECT_EQ(r == PointLookupResult::kFound, hit)
+        << "key " << k << ": lookup " << static_cast<int>(r);
+    if (hit && r == PointLookupResult::kFound) {
+      EXPECT_EQ(v, recovered) << "key " << k;
+    }
+  }
+}
+
+TEST(PointLookup, AnswersExactlyWhatRecoverRebuilds) {
+  const uint64_t seed = SeedFromEnv();
+  SCOPED_TRACE(testing::ChaosReproLine("tests/test_integrity", seed));
+  SplitMix64 rng(seed ^ 0x9e3779b97f4a7c15ull);
+  const DurableImages clean = SeededDurableImages(seed, /*truncate_wal=*/true);
+  const auto entries = durability::CheckpointStore::Scan(clean.checkpoints);
+  ASSERT_EQ(entries.size(), 2u);  // pruned to the last two
+  const auto frames = WalFrames(clean.wal);
+  ASSERT_GE(frames.size(), 3u);
+
+  {
+    SCOPED_TRACE("checkpoint plus suffix");
+    ExpectLookupMatchesRecover(clean, true);
+  }
+  for (bool reseal : {false, true}) {
+    SCOPED_TRACE(reseal ? "newest snapshot corrupt inside an intact entry"
+                        : "newest checkpoint entry corrupt");
+    DurableImages im = clean;
+    CorruptCheckpointEntry(&im.checkpoints, entries.back(), &rng, reseal);
+    ExpectLookupMatchesRecover(im, true);
+  }
+  for (bool truncated : {false, true}) {
+    SCOPED_TRACE(truncated ? "all checkpoints corrupt, WAL truncated"
+                           : "all checkpoints corrupt, WAL untruncated");
+    DurableImages im = SeededDurableImages(seed, truncated);
+    for (const auto& e : durability::CheckpointStore::Scan(im.checkpoints)) {
+      CorruptCheckpointEntry(&im.checkpoints, e, &rng, /*reseal=*/true);
+    }
+    ExpectLookupMatchesRecover(im, /*recover_ok=*/!truncated);
+  }
+  {
+    SCOPED_TRACE("torn tail");
+    DurableImages im = clean;
+    const auto& [off, len] = frames.back();
+    im.wal.resize(off + 1 + rng.Next() % (len - 1));
+    ExpectLookupMatchesRecover(im, true);
+  }
+  {
+    SCOPED_TRACE("mid-log corruption");
+    DurableImages im = clean;
+    const auto& [off, len] = frames[rng.Next() % (frames.size() - 1)];
+    im.wal[off + rng.Next() % len] ^= 0x04;
+    ExpectLookupMatchesRecover(im, false);
+  }
+  {
+    SCOPED_TRACE("LSN gap");
+    DurableImages im = clean;
+    const auto& [off, len] = frames[rng.Next() % (frames.size() - 1)];
+    im.wal.erase(off, len);
+    ExpectLookupMatchesRecover(im, false);
+  }
 }
 
 // --- Scrubber surfacing ---------------------------------------------------

@@ -200,11 +200,12 @@ TEST(SerializationTest, ExhaustiveBitFlipSweepNeverLoadsCorruptSnapshot) {
   // Flip every single bit of a small v2 snapshot, one at a time.  No flip
   // may crash the loader, return OK, or hand back a partial table: every
   // byte of the format is covered by either the magic check, the header
-  // validation, or the CRC-32 trailer.
+  // validation (the entry count against the image length included), or
+  // the CRC-32 trailer.  So every flip is DataLoss or InvalidArgument.
   //
-  // A small private arena bounds the damage of a flipped entry count: a
-  // count inflated to 2^60 must die as a fast OutOfMemory inside Reserve,
-  // not as a real multi-gigabyte allocation.
+  // The small private arena is a tripwire: a flipped entry count that
+  // reached Reserve would fail here as OutOfMemory, which the sweep
+  // refuses.
   gpusim::DeviceArena arena(/*capacity_bytes=*/4u << 20);
   DyCuckooOptions o;
   o.arena = &arena;
@@ -223,13 +224,71 @@ TEST(SerializationTest, ExhaustiveBitFlipSweepNeverLoadsCorruptSnapshot) {
       std::stringstream corrupted(flipped);
       std::unique_ptr<DyCuckooMap> restored;
       Status st = DyCuckooMap::Load(corrupted, o, &restored);
-      ASSERT_FALSE(st.ok())
-          << "flip of byte " << byte << " bit " << bit << " loaded OK";
+      ASSERT_TRUE(st.IsDataLoss() || st.IsInvalidArgument())
+          << "flip of byte " << byte << " bit " << bit << ": "
+          << st.ToString();
       ASSERT_EQ(restored, nullptr)
           << "flip of byte " << byte << " bit " << bit
           << " leaked a partial table (" << st.ToString() << ")";
     }
   }
+}
+
+TEST(SerializationTest, InflatedEntryCountIsDataLossBeforeAnyGrowth) {
+  // Flip each bit of the header's entry count (its fifth u64) in turn.
+  // Load must refuse every one as DataLoss from the image length alone,
+  // before a table grows: the arena may peak no higher than a clean Load
+  // of the same snapshot.
+  std::unique_ptr<DyCuckooMap> t;
+  ASSERT_TRUE(DyCuckooMap::Create(DyCuckooOptions{}, &t).ok());
+  auto keys = UniqueKeys(24, 12);
+  ASSERT_TRUE(t->BulkInsert(keys, SequentialValues(keys.size())).ok());
+  std::stringstream ss;
+  ASSERT_TRUE(t->Save(ss).ok());
+  const std::string data = ss.str();
+
+  gpusim::DeviceArena arena(/*capacity_bytes=*/64u << 20);
+  DyCuckooOptions o;
+  o.arena = &arena;
+  uint64_t clean_peak = 0;
+  {
+    std::stringstream clean(data);
+    std::unique_ptr<DyCuckooMap> restored;
+    ASSERT_TRUE(DyCuckooMap::Load(clean, o, &restored).ok());
+    clean_peak = arena.peak_bytes();
+  }
+  ASSERT_GT(clean_peak, 0u);
+  constexpr size_t kCountOffset = 4 * sizeof(uint64_t);
+  for (int bit = 0; bit < 64; ++bit) {
+    std::string flipped = data;
+    flipped[kCountOffset + bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    arena.ResetPeak();
+    std::stringstream corrupted(flipped);
+    std::unique_ptr<DyCuckooMap> restored;
+    Status st = DyCuckooMap::Load(corrupted, o, &restored);
+    EXPECT_TRUE(st.IsDataLoss()) << "count bit " << bit << ": "
+                                 << st.ToString();
+    EXPECT_EQ(restored, nullptr) << "count bit " << bit;
+    EXPECT_LE(arena.peak_bytes(), clean_peak) << "count bit " << bit;
+  }
+}
+
+TEST(SerializationTest, RejectsBytesAfterTheCrcTrailer) {
+  // A snapshot image ends at its CRC trailer.  Load reads the whole
+  // stream, so a byte after the trailer is corruption, not the start of
+  // something else.
+  std::unique_ptr<DyCuckooMap> t;
+  ASSERT_TRUE(DyCuckooMap::Create(DyCuckooOptions{}, &t).ok());
+  ASSERT_TRUE(t->Insert(1, 2).ok());
+  std::stringstream ss;
+  ASSERT_TRUE(t->Save(ss).ok());
+  std::stringstream padded(ss.str() + '\0');
+  std::unique_ptr<DyCuckooMap> restored;
+  Status st = DyCuckooMap::Load(padded, DyCuckooOptions{}, &restored);
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  EXPECT_NE(st.message().find("after the CRC trailer"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(restored, nullptr);
 }
 
 TEST(SerializationTest, RejectsUnknownFormatVersion) {
