@@ -35,6 +35,33 @@ constexpr Crc32Tables MakeCrc32Tables() {
 
 constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
+// Polynomials over GF(2) modulo the CRC polynomial, in the reflected bit
+// order of the tables above: bit 31 is x^0, bit 30 is x^1, and so on.
+constexpr uint32_t kCrcOne = 0x80000000u;
+
+// a * b mod P.
+constexpr uint32_t MulModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t bit = kCrcOne; bit != 0; bit >>= 1) {
+    if (a & bit) product ^= b;
+    b = (b & 1) ? (b >> 1) ^ 0xEDB88320u : b >> 1;  // b *= x
+  }
+  return product;
+}
+
+// kPow2[k] = x^(2^k) mod P: squaring the previous entry doubles the power.
+// A byte count has 64 bits and a byte is 2^3 bits, so k runs up to 66.
+using Crc32Powers = std::array<uint32_t, 67>;
+
+constexpr Crc32Powers MakeCrc32Powers() {
+  Crc32Powers p{};
+  p[0] = kCrcOne >> 1;  // x^1
+  for (size_t k = 1; k < p.size(); ++k) p[k] = MulModP(p[k - 1], p[k - 1]);
+  return p;
+}
+
+constexpr Crc32Powers kPow2 = MakeCrc32Powers();
+
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t len) {
@@ -56,6 +83,16 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t len) {
     crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
+  // Appending len_b bytes multiplies A's CRC register by x^(8 * len_b);
+  // the pre/post inversions of the two halves cancel in the XOR with B's.
+  uint32_t shift = kCrcOne;
+  for (size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1) shift = MulModP(kPow2[k], shift);
+  }
+  return MulModP(shift, crc_a) ^ crc_b;
 }
 
 UniversalHash UniversalHash::FromSeed(uint64_t seed) {

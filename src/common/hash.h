@@ -102,6 +102,15 @@ class MixHash {
 /// same as the byte-at-a-time definition.
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t len);
 
+/// \brief The CRC-32 of A followed by B, from `crc_a` = CRC of A,
+/// `crc_b` = CRC of B and `len_b` = |B| alone (zlib's crc32_combine):
+///   Crc32Combine(Crc32Update(0, a, la), Crc32Update(0, b, lb), lb)
+///       == Crc32Update(Crc32Update(0, a, la), b, lb)
+/// Costs O(log len_b) 32-bit carry-less products and reads no data, so a
+/// writer that already checksummed a payload can checksum a frame around it
+/// without a second pass.
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
+
 /// 32-bit murmur3 finalizer, used where a cheap 32-bit mix suffices.
 inline uint32_t Mix32(uint32_t x) {
   x ^= x >> 16;

@@ -2,8 +2,8 @@
 //
 // The library is quiet by default (kWarning); benches and examples raise the
 // level for progress reporting.  DYCUCKOO_DCHECK compiles away in NDEBUG
-// builds, matching the Google-style "assert programmer errors, Status for
-// runtime errors" split.
+// builds other than sanitizer builds, matching the Google-style "assert
+// programmer errors, Status for runtime errors" split.
 
 #ifndef DYCUCKOO_COMMON_LOGGING_H_
 #define DYCUCKOO_COMMON_LOGGING_H_
@@ -56,12 +56,16 @@ class LogMessage {
       ::dycuckoo::internal::DieCheckFailed(#expr, __FILE__, __LINE__);  \
   } while (false)
 
-// Debug-only check.
-#ifdef NDEBUG
+// Debug-only check: compiled in without NDEBUG, and in sanitizer builds
+// (the DYCUCKOO_SANITIZE presets define DYCUCKOO_DCHECK_ALWAYS_ON), so the
+// chaos lanes that run under sanitizers also run the costlier invariants.
+#if defined(NDEBUG) && !defined(DYCUCKOO_DCHECK_ALWAYS_ON)
+#define DYCUCKOO_DCHECK_IS_ON 0
 #define DYCUCKOO_DCHECK(expr) \
   do {                        \
   } while (false)
 #else
+#define DYCUCKOO_DCHECK_IS_ON 1
 #define DYCUCKOO_DCHECK(expr) DYCUCKOO_CHECK(expr)
 #endif
 

@@ -1,6 +1,10 @@
 #include "durability/checkpoint.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/hash.h"
+#include "common/logging.h"
 #include "durability/log_format.h"
 #include "gpusim/fault_injector.h"
 
@@ -29,7 +33,7 @@ const char* CheckpointStore::ScopedName(const char* name) {
 }
 
 Status CheckpointStore::AppendEntry(uint64_t checkpoint_lsn,
-                                    const std::string& snapshot) {
+                                    const PayloadWriter& write_payload) {
   if (dead_) return CrashedStatus();
   auto* injector = gpusim::FaultInjector::Active();
   if (injector && injector->OnKillPoint(ScopedName("ckpt.begin"))) {
@@ -37,42 +41,54 @@ Status CheckpointStore::AppendEntry(uint64_t checkpoint_lsn,
     return CrashedStatus();
   }
 
-  // Assemble the full entry first: header, payload, CRC trailer.
-  std::string entry;
-  entry.reserve(kCheckpointEntryHeaderBytes + snapshot.size() + 4);
-  PutU64(&entry, kCheckpointEntryMagic);
-  PutU64(&entry, checkpoint_lsn);
-  PutU64(&entry, snapshot.size());
-  entry.append(snapshot);
-  uint32_t crc = Crc32Update(0, entry.data() + 8, entry.size() - 8);
-  PutU32(&entry, crc);
+  // Build the entry in place at the end of the image: header, payload, CRC
+  // trailer.  Until the healthy path below finishes, only a prefix of it
+  // counts as written, and every other outcome cuts the image back to that.
+  const size_t start = durable_.size();
+  PutU64(&durable_, kCheckpointEntryMagic);
+  PutU64(&durable_, checkpoint_lsn);
+  PutU64(&durable_, 0);  // payload_len, patched once the payload is in
+  uint32_t payload_crc = 0;
+  Status st = write_payload(&durable_, &payload_crc);
+  if (!st.ok()) {
+    durable_.resize(start);
+    return st;
+  }
+  const uint64_t payload_len =
+      durable_.size() - start - kCheckpointEntryHeaderBytes;
+  std::memcpy(&durable_[start + 16], &payload_len, sizeof(payload_len));
+  // The entry CRC covers (lsn, len, payload): checksum the 16 header bytes
+  // and fold in the payload's CRC instead of reading the payload again.
+  PutU32(&durable_, Crc32Combine(Crc32Update(0, &durable_[start + 8], 16),
+                                 payload_crc, payload_len));
+  const size_t entry_size = durable_.size() - start;
 
   gpusim::IoWriteFault fault = injector ? injector->OnIoFlush(scope_.c_str())
                                         : gpusim::IoWriteFault::kNone;
   switch (fault) {
     case gpusim::IoWriteFault::kFailCleanly:
+      durable_.resize(start);
       ++append_failures_;
       return Status::Internal(
           "checkpoint: entry write failed (injected); nothing persisted");
     case gpusim::IoWriteFault::kShortWrite: {
       // A whole number of chunks reaches storage, then the process dies.
-      size_t chunks = (entry.size() + kCheckpointChunkBytes - 1) /
+      size_t chunks = (entry_size + kCheckpointChunkBytes - 1) /
                       kCheckpointChunkBytes;
       size_t keep = injector->NextDraw(/*stream=*/8) % chunks;
-      durable_.append(entry.data(), keep * kCheckpointChunkBytes);
+      durable_.resize(start + keep * kCheckpointChunkBytes);
       dead_ = true;
       return CrashedStatus();
     }
     case gpusim::IoWriteFault::kTornWrite: {
-      size_t cut = 1 + injector->NextDraw(/*stream=*/8) % (entry.size() - 1);
-      durable_.append(entry.data(), cut);
+      size_t cut = 1 + injector->NextDraw(/*stream=*/8) % (entry_size - 1);
+      durable_.resize(start + cut);
       dead_ = true;
       return CrashedStatus();
     }
     case gpusim::IoWriteFault::kBitFlip: {
-      uint64_t bit = injector->NextDraw(/*stream=*/9) % (entry.size() * 8);
-      entry[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-      durable_.append(entry);
+      uint64_t bit = injector->NextDraw(/*stream=*/9) % (entry_size * 8);
+      durable_[start + bit / 8] ^= static_cast<char>(1u << (bit % 8));
       dead_ = true;
       return CrashedStatus();
     }
@@ -80,19 +96,17 @@ Status CheckpointStore::AppendEntry(uint64_t checkpoint_lsn,
       break;
   }
 
-  // Healthy path: chunked append with a crash point once a partial entry
-  // is on storage.
-  size_t written = std::min(kCheckpointChunkBytes, entry.size());
-  durable_.append(entry.data(), written);
+  // Healthy path: the entry is written in chunks, with a crash point once
+  // the first chunk is on storage.
   if (injector && injector->OnKillPoint(ScopedName("ckpt.mid"))) {
+    durable_.resize(start + std::min(kCheckpointChunkBytes, entry_size));
     dead_ = true;
     return CrashedStatus();
   }
-  while (written < entry.size()) {
-    size_t n = std::min(kCheckpointChunkBytes, entry.size() - written);
-    durable_.append(entry.data() + written, n);
-    written += n;
-  }
+  entries_.push_back({checkpoint_lsn, start,
+                      start + kCheckpointEntryHeaderBytes, payload_len,
+                      /*valid=*/true});
+  DYCUCKOO_DCHECK(entries_ == Scan(durable_));
   ++entries_written_;
   if (injector && injector->OnKillPoint(ScopedName("ckpt.entry_end"))) {
     dead_ = true;
@@ -104,21 +118,16 @@ Status CheckpointStore::AppendEntry(uint64_t checkpoint_lsn,
 Status CheckpointStore::PruneToLast(int keep) {
   if (dead_) return CrashedStatus();
   if (keep <= 0) return Status::InvalidArgument("checkpoint: keep must be > 0");
-  std::vector<CheckpointEntryView> entries = Scan(durable_);
-  int valid = 0;
-  for (const CheckpointEntryView& e : entries) valid += e.valid ? 1 : 0;
-  if (valid <= keep) return Status::OK();
-  int to_drop = valid - keep;
-  size_t cut = 0;
-  for (const CheckpointEntryView& e : entries) {
-    if (!e.valid) continue;
-    if (to_drop == 0) {
-      cut = e.entry_offset;
-      break;
-    }
-    --to_drop;
-  }
+  if (entries_.size() <= static_cast<size_t>(keep)) return Status::OK();
+  const size_t drop = entries_.size() - static_cast<size_t>(keep);
+  const size_t cut = entries_[drop].entry_offset;
   durable_.erase(0, cut);
+  entries_.erase(entries_.begin(), entries_.begin() + drop);
+  for (CheckpointEntryView& e : entries_) {
+    e.entry_offset -= cut;
+    e.payload_offset -= cut;
+  }
+  DYCUCKOO_DCHECK(entries_ == Scan(durable_));
   ++prunes_;
   return Status::OK();
 }

@@ -16,6 +16,7 @@
 #define DYCUCKOO_DURABILITY_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,8 @@ struct CheckpointEntryView {
   size_t payload_offset = 0;  // where the snapshot bytes start
   size_t payload_len = 0;
   bool valid = false;  // frame complete and CRC intact
+
+  bool operator==(const CheckpointEntryView&) const = default;
 };
 
 class CheckpointStore {
@@ -42,16 +45,24 @@ class CheckpointStore {
   explicit CheckpointStore(std::string scope = "")
       : scope_(std::move(scope)) {}
 
-  /// Appends one entry wrapping `snapshot`, in chunks, consulting the
-  /// active FaultInjector for I/O faults and the kill points ckpt.begin /
-  /// ckpt.mid / ckpt.entry_end (scope-prefixed when scoped).  On a clean
-  /// injected failure nothing is persisted and the caller may retry; on a
+  /// Writes an entry's payload: appends it to `*out` and sets `*crc` to the
+  /// CRC-32 of the bytes it appended.
+  using PayloadWriter = std::function<Status(std::string* out, uint32_t* crc)>;
+
+  /// Appends one entry whose payload `write_payload` serializes straight
+  /// into the store, consulting the active FaultInjector for I/O faults and
+  /// the kill points ckpt.begin / ckpt.mid / ckpt.entry_end (scope-prefixed
+  /// when scoped).  The entry CRC is folded from the payload CRC the writer
+  /// reports, so the payload is checksummed once.  On a clean injected
+  /// failure nothing is persisted and the caller may retry; on a
   /// crash-style fault a partial or corrupted entry is persisted and the
   /// store goes dead.
-  Status AppendEntry(uint64_t checkpoint_lsn, const std::string& snapshot);
+  Status AppendEntry(uint64_t checkpoint_lsn,
+                     const PayloadWriter& write_payload);
 
-  /// Keeps the newest `keep` valid entries (and any newer invalid bytes);
-  /// drops everything older.  Atomic, like WAL head truncation.
+  /// Keeps the newest `keep` entries and drops everything older.  Atomic,
+  /// like WAL head truncation.  Reads only the entry index, never the
+  /// entries' bytes.
   Status PruneToLast(int keep);
 
   /// Walks `image` front to back, returning every entry found.  A torn or
@@ -62,6 +73,11 @@ class CheckpointStore {
 
   bool dead() const { return dead_; }
   const std::string& durable_image() const { return durable_; }
+  /// The entries this store appended and still holds, oldest first.  While
+  /// the store is alive this equals Scan(durable_image()): only the store
+  /// writes its image, and a fault that could leave bytes the index does
+  /// not describe leaves the store dead.
+  const std::vector<CheckpointEntryView>& entries() const { return entries_; }
   const std::string& scope() const { return scope_; }
   uint64_t entries_written() const { return entries_written_; }
   uint64_t append_failures() const { return append_failures_; }
@@ -74,6 +90,7 @@ class CheckpointStore {
   std::string scope_;
   std::string scoped_name_;  // scratch buffer for ScopedName
   std::string durable_;
+  std::vector<CheckpointEntryView> entries_;
   bool dead_ = false;
   uint64_t entries_written_ = 0;
   uint64_t append_failures_ = 0;

@@ -13,10 +13,17 @@
 //
 // Checkpoint protocol (and why the WAL trims to the *previous* LSN):
 //
-//   append checkpoint entry @ LSN C      (chunked, CRC-trailed)
+//   record the WAL cut at C              (durable LSN C and its end offset)
+//   append checkpoint entry @ LSN C      (chunked, CRC-trailed; the table
+//                                         is serialized into the store
+//                                         and checksummed once)
 //   append + flush kCheckpointMark(C)    (operators can see it in the log)
-//   truncate WAL head to C_prev          (records lsn <= C_prev dropped)
+//   truncate WAL head at cut(C_prev)     (records lsn <= C_prev dropped)
 //   prune store to the last 2 entries
+//
+// Neither the truncation nor the prune re-reads what it keeps or drops:
+// both cut at offsets recorded when the bytes were appended (see
+// docs/robustness.md "Incremental checkpoints").
 //
 // If the newest checkpoint is torn/corrupt by a crash, recovery falls back
 // to the previous one — and the WAL still holds every record after C_prev,
@@ -28,7 +35,6 @@
 #define DYCUCKOO_DURABILITY_MANAGER_H_
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "common/status.h"
@@ -152,15 +158,22 @@ class DurabilityManager {
       ++stats_.checkpoint_skips;
       return Status::OK();
     }
-    const uint64_t checkpoint_lsn = wal_.durable_lsn();
+    // The checkpoint covers every durable record, so the log may later be
+    // cut exactly where it ends now.
+    const WalCut cut = wal_.durable_cut();
+    const uint64_t checkpoint_lsn = cut.lsn;
 
-    std::ostringstream snapshot;
-    Status st = table->Save(snapshot);
-    if (!st.ok()) {
-      ++stats_.checkpoint_failures;
-      return st;
-    }
-    st = checkpoints_.AppendEntry(checkpoint_lsn, snapshot.str());
+    // One pass over the table: the snapshot is serialized straight into the
+    // store, and its CRC seeds the entry's.
+    Status st = checkpoints_.AppendEntry(
+        checkpoint_lsn, [table](std::string* out, uint32_t* crc) {
+          return table->WriteSnapshot(
+              [out](const char* data, size_t len) {
+                out->append(data, len);
+                return true;
+              },
+              crc);
+        });
     if (!st.ok()) {
       if (!dead()) ++stats_.checkpoint_failures;
       return st;
@@ -179,14 +192,14 @@ class DurabilityManager {
       return Status::Unavailable("durability: simulated crash at ckpt.mark");
     }
 
-    const uint64_t previous_lsn = last_checkpoint_lsn_;
-    last_checkpoint_lsn_ = checkpoint_lsn;
+    const WalCut previous = last_checkpoint_cut_;
+    last_checkpoint_cut_ = cut;
     bytes_at_last_checkpoint_ = wal_.bytes_flushed();
     records_at_last_checkpoint_ = wal_.records_flushed();
     ++stats_.checkpoints;
 
-    if (options_.truncate_wal && previous_lsn > 0) {
-      st = wal_.TruncateHead(previous_lsn);
+    if (options_.truncate_wal && previous.lsn > 0) {
+      st = wal_.TruncateHead(previous);
       if (!st.ok()) return st;
       ++stats_.truncations;
     }
@@ -222,7 +235,10 @@ class DurabilityManager {
   const DurabilityStats& stats() const { return stats_; }
   const DurabilityOptions& options() const { return options_; }
   const std::string& scope() const { return scope_; }
-  uint64_t last_checkpoint_lsn() const { return last_checkpoint_lsn_; }
+  uint64_t last_checkpoint_lsn() const { return last_checkpoint_cut_.lsn; }
+  /// Where the WAL ended when the newest checkpoint was taken: the cut the
+  /// next checkpoint truncates the log at.
+  const WalCut& last_checkpoint_cut() const { return last_checkpoint_cut_; }
 
  private:
   DurabilityOptions options_;
@@ -231,7 +247,7 @@ class DurabilityManager {
   CheckpointStore checkpoints_;
   DurabilityStats stats_;
   bool killed_ = false;
-  uint64_t last_checkpoint_lsn_ = 0;
+  WalCut last_checkpoint_cut_;
   uint64_t bytes_at_last_checkpoint_ = 0;
   uint64_t records_at_last_checkpoint_ = 0;
 };

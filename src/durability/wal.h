@@ -26,12 +26,21 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "durability/log_format.h"
 #include "gpusim/fault_injector.h"
 
 namespace dycuckoo {
 namespace durability {
+
+/// A place to cut a log's head: the last record to drop and the offset
+/// just past its frame.  The offset counts from the start of the log as
+/// first written, so a head truncation in between does not move it.
+struct WalCut {
+  uint64_t lsn = 0;
+  uint64_t offset = 0;
+};
 
 template <typename Key, typename Value>
 class WalWriter {
@@ -159,33 +168,49 @@ class WalWriter {
     return Status::OK();
   }
 
-  /// Drops whole records with lsn <= `checkpoint_lsn` from the head and
-  /// advances the file header's first_lsn.  Atomic (modelled as a
-  /// write-temp-then-rename); the kill point fires only after the rename.
-  Status TruncateHead(uint64_t checkpoint_lsn) {
-    if (dead_) return CrashedStatus();
-    WalFileHeader header;
-    if (ParseWalFileHeader(durable_.data(), durable_.size(), &header) !=
-        ParseResult::kOk) {
-      return Status::DataLoss("wal: own header unreadable during truncation");
-    }
-    size_t offset = kWalFileHeaderBytes;
-    uint64_t new_first = header.first_lsn;
-    while (offset < durable_.size()) {
+  /// Where the durable log ends now: its last durable record and the end
+  /// of that record's frame.  Taken when a checkpoint covers exactly the
+  /// durable records, it is where the log may be cut once that checkpoint
+  /// has a successor.
+  WalCut durable_cut() const {
+    return {durable_lsn_, head_dropped_ + durable_.size()};
+  }
+
+  /// Where `cut` lies in durable_image() now.
+  uint64_t ImageOffset(const WalCut& cut) const {
+    return cut.offset - head_dropped_;
+  }
+
+  /// Offset in `image` just past the last frame, walking whole frames from
+  /// the file header, whose lsn is <= `lsn`.  Parses (and so checksums)
+  /// every frame it passes; TruncateHead's recorded cuts must equal it.
+  static uint64_t ScanCut(const std::string& image, uint64_t lsn) {
+    uint64_t offset = kWalFileHeaderBytes;
+    while (offset < image.size()) {
       ParsedRecord rec;
-      if (ParseFrame(durable_.data() + offset, durable_.size() - offset,
-                     &rec) != ParseResult::kOk) {
+      if (ParseFrame(image.data() + offset, image.size() - offset, &rec) !=
+              ParseResult::kOk ||
+          rec.lsn > lsn) {
         break;
       }
-      if (rec.lsn > checkpoint_lsn) break;
       offset += rec.frame_len;
-      new_first = rec.lsn + 1;
     }
-    std::string rebuilt;
-    rebuilt.reserve(kWalFileHeaderBytes + (durable_.size() - offset));
-    AppendWalFileHeader(&rebuilt, sizeof(Key), sizeof(Value), new_first);
-    rebuilt.append(durable_, offset, std::string::npos);
-    durable_ = std::move(rebuilt);
+    return offset;
+  }
+
+  /// Drops the whole records before `cut` (those with lsn <= cut.lsn) from
+  /// the head and advances the file header's first_lsn to cut.lsn + 1.
+  /// `cut` must not lie before the current head.  Reads no frame: the cut
+  /// was recorded when those records were written.  Atomic (modelled as a
+  /// write-temp-then-rename); the kill point fires only after the rename.
+  Status TruncateHead(const WalCut& cut) {
+    if (dead_) return CrashedStatus();
+    const uint64_t offset = ImageOffset(cut);
+    DYCUCKOO_DCHECK(offset == ScanCut(durable_, cut.lsn));
+    std::string header;
+    AppendWalFileHeader(&header, sizeof(Key), sizeof(Value), cut.lsn + 1);
+    durable_.replace(0, offset, header);  // in place: no reallocation
+    head_dropped_ += offset - kWalFileHeaderBytes;
     ++truncations_;
     auto* injector = gpusim::FaultInjector::Active();
     if (injector && injector->OnKillPoint(ScopedName("wal.truncate.after"))) {
@@ -269,6 +294,9 @@ class WalWriter {
   uint64_t records_flushed_ = 0;
   uint64_t bytes_flushed_ = 0;
   uint64_t truncations_ = 0;
+  // Bytes of records dropped from the head so far: the distance between a
+  // WalCut's offset and the same place in durable_.
+  uint64_t head_dropped_ = 0;
 };
 
 }  // namespace durability

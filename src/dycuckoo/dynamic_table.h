@@ -234,52 +234,72 @@ class DynamicTable {
   // Serialization.
   // ---------------------------------------------------------------------
 
-  /// Writes a version-2 snapshot: magic, format version, key/value widths,
-  /// entry count, raw pairs, and a CRC-32 trailer over everything after the
-  /// magic.  The layout is rebuilt on Load, so options may differ across
-  /// the round-trip.
-  Status Save(std::ostream& os) const {
-    uint64_t header[5] = {kSnapshotMagicV2, kSnapshotFormatVersion, sizeof(Key),
-                          sizeof(Value), size()};
-    os.write(reinterpret_cast<const char*>(header), sizeof(header));
+  /// The one writer of the version-2 snapshot format: magic, format
+  /// version, key/value widths, entry count, raw pairs, and a CRC-32
+  /// trailer over everything after the magic.  The layout is rebuilt on
+  /// Load, so options may differ across the round-trip.
+  ///
+  /// The image goes to `sink(const char* data, size_t len)` in pieces: the
+  /// header, chunks of up to kSnapshotChunkPairs pairs, the trailer.  A
+  /// sink that returns false stops the walk; nothing more is offered to
+  /// it.  On success `*image_crc` (when given) is the CRC-32 of the whole
+  /// image, folded from the trailer's CRC so no byte is checksummed twice.
+  template <typename Sink>
+  Status WriteSnapshot(Sink&& sink, uint32_t* image_crc = nullptr) const {
+    const uint64_t header[5] = {kSnapshotMagicV2, kSnapshotFormatVersion,
+                                sizeof(Key), sizeof(Value), size()};
     uint64_t bytes_written = 0;
+    auto failed = [&] {
+      return Status::Internal("snapshot write failed after " +
+                              std::to_string(bytes_written) + " bytes");
+    };
+    if (!sink(reinterpret_cast<const char*>(header), sizeof(header))) {
+      return failed();
+    }
+    bytes_written += sizeof(header);
     uint32_t crc = Crc32Update(0, &header[1], 4 * sizeof(uint64_t));
-    if (os.good()) {
-      bytes_written += sizeof(header);
-      // Pairs are staged into chunks of up to kSnapshotChunkPairs; each
-      // chunk is one write and one CRC update.  Abort the walk on the
-      // first failed write instead of streaming the rest of the table into
-      // a dead stream.
-      std::vector<char> staging(
-          std::clamp<uint64_t>(size(), 1, kSnapshotChunkPairs) * kPairBytes);
-      size_t staged = 0;
-      auto write_staged = [&] {
-        os.write(staging.data(), static_cast<std::streamsize>(staged));
-        if (!os.good()) return false;
-        bytes_written += staged;
-        crc = Crc32Update(crc, staging.data(), staged);
-        staged = 0;
-        return true;
-      };
-      ForEachUntil([&](Key k, Value v) {
-        if (staged == staging.size() && !write_staged()) return false;
-        std::memcpy(staging.data() + staged, &k, sizeof(Key));
-        std::memcpy(staging.data() + staged + sizeof(Key), &v, sizeof(Value));
-        staged += kPairBytes;
-        return true;
-      });
-      if (os.good()) write_staged();
+    // Pairs are staged into chunks of up to kSnapshotChunkPairs; each chunk
+    // is one sink call and one CRC update.
+    std::vector<char> staging(
+        std::clamp<uint64_t>(size(), 1, kSnapshotChunkPairs) * kPairBytes);
+    size_t staged = 0;
+    bool sink_ok = true;
+    auto write_staged = [&] {
+      sink_ok = sink(staging.data(), staged);
+      if (!sink_ok) return false;
+      bytes_written += staged;
+      crc = Crc32Update(crc, staging.data(), staged);
+      staged = 0;
+      return true;
+    };
+    ForEachUntil([&](Key k, Value v) {
+      if (staged == staging.size() && !write_staged()) return false;
+      std::memcpy(staging.data() + staged, &k, sizeof(Key));
+      std::memcpy(staging.data() + staged + sizeof(Key), &v, sizeof(Value));
+      staged += kPairBytes;
+      return true;
+    });
+    if (!sink_ok || !write_staged() ||
+        !sink(reinterpret_cast<const char*>(&crc), sizeof(crc))) {
+      return failed();
     }
-    if (!os.good()) {
-      return Status::Internal("snapshot write failed after " +
-                              std::to_string(bytes_written) + " bytes");
-    }
-    os.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    if (!os.good()) {
-      return Status::Internal("snapshot write failed after " +
-                              std::to_string(bytes_written) + " bytes");
+    if (image_crc != nullptr) {
+      // The image is the magic, the body `crc` covers, then the trailer.
+      const uint32_t through_body =
+          Crc32Combine(Crc32Update(0, &header[0], sizeof(uint64_t)), crc,
+                       bytes_written - sizeof(uint64_t));
+      *image_crc = Crc32Combine(
+          through_body, Crc32Update(0, &crc, sizeof(crc)), sizeof(crc));
     }
     return Status::OK();
+  }
+
+  /// WriteSnapshot() into `os`, stopping at the first failed write.
+  Status Save(std::ostream& os) const {
+    return WriteSnapshot([&os](const char* data, size_t len) {
+      os.write(data, static_cast<std::streamsize>(len));
+      return os.good();
+    });
   }
 
   /// The pairs of a parsed Save() image, viewed in place (not owned).
@@ -359,22 +379,19 @@ class DynamicTable {
     DYCUCKOO_RETURN_NOT_OK(ParseSnapshot(image, &snap));
     std::unique_ptr<DynamicTable> table;
     DYCUCKOO_RETURN_NOT_OK(Create(options, &table));
+    // Size once, then insert the image as one batch.  Every batch ends in
+    // ResizeToBounds, so smaller batches would shrink a table sized for the
+    // whole image after the first one and regrow it over the later ones.
     if (table->options_.auto_resize) {
       DYCUCKOO_RETURN_NOT_OK(table->Reserve(snap.count));
     }
-    std::vector<Key> keys(std::min(snap.count, kSnapshotChunkPairs));
-    std::vector<Value> values(keys.size());
-    for (uint64_t done = 0; done < snap.count;) {
-      const uint64_t n = std::min(snap.count - done, kSnapshotChunkPairs);
-      for (uint64_t i = 0; i < n; ++i) {
-        keys[i] = snap.key(done + i);
-        values[i] = snap.value(done + i);
-      }
-      DYCUCKOO_RETURN_NOT_OK(table->BulkInsert(
-          std::span<const Key>(keys.data(), n),
-          std::span<const Value>(values.data(), n)));
-      done += n;
+    std::vector<Key> keys(snap.count);
+    std::vector<Value> values(snap.count);
+    for (uint64_t i = 0; i < snap.count; ++i) {
+      keys[i] = snap.key(i);
+      values[i] = snap.value(i);
     }
+    DYCUCKOO_RETURN_NOT_OK(table->BulkInsert(keys, values));
     *out = std::move(table);
     return Status::OK();
   }
@@ -1132,8 +1149,8 @@ class DynamicTable {
   /// Version-2 snapshot magic (format-version field + CRC-32 trailer).
   static constexpr uint64_t kSnapshotMagicV2 = 0xD1C0CC00'5A4B1706ULL;
   static constexpr uint64_t kSnapshotFormatVersion = 2;
-  /// Save writes snapshot pairs in chunks of at most this many (one stream
-  /// call and one CRC update each); Load bulk-inserts them in such chunks.
+  /// WriteSnapshot hands pairs to its sink in chunks of at most this many
+  /// (one sink call and one CRC update each).
   static constexpr uint64_t kSnapshotChunkPairs = 1 << 16;
   /// Bytes of one interleaved (key, value) snapshot pair.
   static constexpr size_t kPairBytes = sizeof(Key) + sizeof(Value);

@@ -206,6 +206,47 @@ TEST(Crc32Test, RandomIncrementalSplitsMatchOneShot) {
   }
 }
 
+// Crc32Combine(crc(A), crc(B), |B|) == crc(A || B), at every split.
+void ExpectCombineMatchesOneShot(const std::vector<unsigned char>& bytes,
+                                 size_t split) {
+  const unsigned char* p = bytes.data();
+  const size_t len_b = bytes.size() - split;
+  ASSERT_EQ(Crc32Combine(Crc32Update(0, p, split),
+                         Crc32Update(0, p + split, len_b), len_b),
+            Crc32Update(0, p, bytes.size()))
+      << "length " << bytes.size() << " split " << split;
+}
+
+TEST(Crc32Test, CombineMatchesOneShotAtEverySplit) {
+  SplitMix64 rng(31);
+  for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{255}, size_t{1000}, size_t{4096}}) {
+    const auto bytes = RandomBytes(len, rng.Next());
+    for (size_t split = 0; split <= len; ++split) {
+      ExpectCombineMatchesOneShot(bytes, split);
+    }
+  }
+}
+
+TEST(Crc32Test, CombineWithEmptyHalves) {
+  const auto bytes = RandomBytes(777, 5);
+  const uint32_t crc = Crc32Update(0, bytes.data(), bytes.size());
+  EXPECT_EQ(Crc32Combine(crc, 0, 0), crc);             // B empty
+  EXPECT_EQ(Crc32Combine(0, crc, bytes.size()), crc);  // A empty
+  EXPECT_EQ(Crc32Combine(0, 0, 0), 0u);                // both empty
+  EXPECT_EQ(Crc32Combine(Crc32Update(0, "12345", 5),
+                         Crc32Update(0, "6789", 4), 4),
+            0xCBF43926u);
+}
+
+TEST(Crc32Test, CombineOverMultiMiBBuffer) {
+  const auto bytes = RandomBytes((size_t{5} << 20) + 3, 77);
+  for (size_t split : {size_t{1}, size_t{4096}, bytes.size() / 2,
+                       bytes.size() - (size_t{1} << 20), bytes.size() - 1}) {
+    ExpectCombineMatchesOneShot(bytes, split);
+  }
+}
+
 TEST(MixHashTest, PowerOfTwoSplitIdentity) {
   // The conflict-free upsize relies on: x & (2n-1) is x & (n-1) or +n.
   MixHash h(77);

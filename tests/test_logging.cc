@@ -39,7 +39,7 @@ TEST(LoggingDeathTest, CheckMessageNamesExpression) {
   EXPECT_DEATH({ DYCUCKOO_CHECK(2 > 3); }, "2 > 3");
 }
 
-#ifndef NDEBUG
+#if DYCUCKOO_DCHECK_IS_ON
 TEST(LoggingDeathTest, DcheckActiveInDebugBuilds) {
   EXPECT_DEATH({ DYCUCKOO_DCHECK(false); }, "check failed");
 }

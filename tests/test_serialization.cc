@@ -368,6 +368,63 @@ TEST(SerializationTest, MultiChunkSnapshotBytesArePinned) {
   EXPECT_EQ(restored->size(), kTwoChunkPairs);
 }
 
+// WriteSnapshot hands a sink the very bytes Save streams, and the image CRC
+// it folds from the trailer equals a full pass over those bytes.
+TEST(SerializationTest, WriteSnapshotReportsTheImageCrc) {
+  gpusim::Grid grid(1);
+  auto full = TwoChunkTable(&grid);
+  std::unique_ptr<DyCuckooMap> empty;
+  ASSERT_TRUE(DyCuckooMap::Create(DyCuckooOptions{}, &empty).ok());
+  for (const DyCuckooMap* t : {full.get(), empty.get()}) {
+    SCOPED_TRACE("pairs " + std::to_string(t->size()));
+    std::string image;
+    uint32_t image_crc = 0;
+    ASSERT_TRUE(t->WriteSnapshot(
+                     [&image](const char* data, size_t len) {
+                       image.append(data, len);
+                       return true;
+                     },
+                     &image_crc)
+                    .ok());
+    std::stringstream saved;
+    ASSERT_TRUE(t->Save(saved).ok());
+    EXPECT_EQ(image, saved.str());
+    EXPECT_EQ(image_crc, Crc32Update(0, image.data(), image.size()));
+  }
+}
+
+// Load sizes the table once and inserts the image as one batch: on a
+// 300K-pair image under 524,288 initial slots (theta 0.57, inside the
+// bounds) it neither shrinks nor regrows the table.
+TEST(SerializationTest, LoadOfAnInBoundsImageNeverResizes) {
+  gpusim::Grid grid(1);
+  DyCuckooOptions o;
+  o.grid = &grid;
+  o.initial_capacity = 524288;
+  std::unique_ptr<DyCuckooMap> t;
+  ASSERT_TRUE(DyCuckooMap::Create(o, &t).ok());
+  const auto keys = UniqueKeys(300000, 77);
+  ASSERT_TRUE(t->BulkInsert(keys, SequentialValues(keys.size())).ok());
+  std::stringstream ss;
+  ASSERT_TRUE(t->Save(ss).ok());
+
+  std::unique_ptr<DyCuckooMap> restored;
+  ASSERT_TRUE(DyCuckooMap::Load(ss, o, &restored).ok());
+  const TableStats::Snapshot stats = restored->stats().Capture();
+  EXPECT_EQ(stats.upsizes, 0u);
+  EXPECT_EQ(stats.downsizes, 0u);
+  EXPECT_EQ(stats.rehashed_kvs, 0u);
+  EXPECT_EQ(restored->capacity_slots(), 524288u);
+  ASSERT_EQ(restored->size(), keys.size());
+  std::vector<uint32_t> values(keys.size());
+  std::vector<uint8_t> found(keys.size());
+  restored->BulkFind(keys, values.data(), found.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(found[i]) << "key " << keys[i];
+    ASSERT_EQ(values[i], i) << "key " << keys[i];
+  }
+}
+
 // Accepts the first `limit` bytes, then fails every write.  Keeps the bytes
 // it accepted and counts the writes offered after the first failure.
 class FailAfterBuf : public std::streambuf {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -217,9 +218,14 @@ TEST(WalWriterTest, CrashPathsPersistPinnedImages) {
 
 TEST(WalWriterTest, TruncateHeadDropsCoveredRecordsAndAdvancesFirstLsn) {
   Wal wal;
-  for (uint32_t i = 0; i < 10; ++i) wal.AppendInsert(i + 1, i);
+  for (uint32_t i = 0; i < 4; ++i) wal.AppendInsert(i + 1, i);
   ASSERT_TRUE(wal.Flush().ok());
-  ASSERT_TRUE(wal.TruncateHead(/*checkpoint_lsn=*/4).ok());
+  const WalCut cut = wal.durable_cut();  // where a checkpoint at lsn 4 cuts
+  EXPECT_EQ(cut.lsn, 4u);
+  for (uint32_t i = 4; i < 10; ++i) wal.AppendInsert(i + 1, i);
+  ASSERT_TRUE(wal.Flush().ok());
+  EXPECT_EQ(wal.ImageOffset(cut), Wal::ScanCut(wal.durable_image(), 4));
+  ASSERT_TRUE(wal.TruncateHead(cut).ok());
   const std::string& image = wal.durable_image();
   WalFileHeader header;
   ASSERT_EQ(ParseWalFileHeader(image.data(), image.size(), &header),
@@ -434,11 +440,261 @@ TEST(ManagerTest, TruncationKeepsRecordsBackToPreviousCheckpoint) {
   EXPECT_EQ(header.first_lsn, 21u);  // records after checkpoint #1 retained
 }
 
+// One fixed checkpointing run on a one-worker grid (so the bucket layout,
+// and with it every snapshot byte, is deterministic): six rounds of a
+// group-committed write batch followed by a checkpoint, under at most one
+// injected fault.  After every step the size and CRC of both durable
+// images are folded into `digest`, so a pinned digest fixes every byte
+// each checkpoint, prune, truncation, kill point and I/O fault leaves
+// behind.
+struct DurableTrail {
+  uint32_t digest = 0;
+  size_t checkpoint_bytes = 0;
+  size_t wal_bytes = 0;
+  uint64_t checkpoints = 0;
+  bool dead = false;
+};
+
+DurableTrail RunCheckpointRounds(const gpusim::FaultInjectorConfig& cfg) {
+  gpusim::Grid grid(1);
+  gpusim::DeviceArena arena(0);
+  DyCuckooOptions options;
+  options.grid = &grid;
+  options.arena = &arena;
+  std::unique_ptr<Table> table;
+  EXPECT_TRUE(Table::Create(options, &table).ok());
+  DurabilityOptions dopts;
+  dopts.checkpoint_wal_bytes = 0;
+  dopts.checkpoint_wal_records = 0;  // manual checkpoints only
+  gpusim::ScopedFaultInjection scoped(cfg);
+  Manager manager(dopts);
+
+  DurableTrail trail;
+  auto record_step = [&] {
+    for (const std::string* image : {&manager.checkpoints().durable_image(),
+                                     &manager.wal().durable_image()}) {
+      const uint64_t fact[2] = {image->size(),
+                                Crc32Update(0, image->data(), image->size())};
+      trail.digest = Crc32Update(trail.digest, fact, sizeof(fact));
+    }
+  };
+  constexpr uint32_t kInsertsPerRound = 2000;
+  constexpr uint32_t kErasesPerRound = 500;
+  SplitMix64 rng(0x5EED);
+  for (uint32_t round = 0; round < 6 && !manager.dead(); ++round) {
+    // Fresh keys, then erases of keys from earlier rounds: the two sets are
+    // disjoint, so the table and the log agree whatever the batch order.
+    std::vector<uint32_t> keys(kInsertsPerRound), values(kInsertsPerRound);
+    for (uint32_t i = 0; i < kInsertsPerRound; ++i) {
+      keys[i] = round * kInsertsPerRound + i + 1;
+      values[i] = static_cast<uint32_t>(rng.Next());
+      manager.LogInsert(keys[i], values[i]);
+    }
+    EXPECT_TRUE(table->BulkInsert(keys, values).ok());
+    std::vector<uint32_t> erase;
+    for (uint32_t i = 0; round > 0 && i < kErasesPerRound; ++i) {
+      erase.push_back(1 + static_cast<uint32_t>(
+                              rng.Next() % (round * kInsertsPerRound)));
+      manager.LogErase(erase.back());
+    }
+    EXPECT_TRUE(table->BulkErase(erase).ok());
+    Status st = manager.Commit();
+    EXPECT_TRUE(st.ok() || st.IsInternal() || manager.dead()) << st.ToString();
+    record_step();
+    if (manager.dead()) break;
+    st = manager.CheckpointNow(table.get());
+    EXPECT_TRUE(st.ok() || st.IsInternal() || manager.dead()) << st.ToString();
+    record_step();
+  }
+  trail.checkpoint_bytes = manager.checkpoints().durable_image().size();
+  trail.wal_bytes = manager.wal().durable_image().size();
+  trail.checkpoints = manager.stats().checkpoints;
+  trail.dead = manager.dead();
+  return trail;
+}
+
+// Pins the durable bytes of the checkpoint protocol: every I/O fault kind
+// on the fourth checkpoint's entry write (flush #10: each round is a data
+// commit, the entry, the mark's commit) and on the data commit just before
+// it (flush #9); every ckpt.* kill point at the fourth checkpoint; the
+// fourth truncation; and every wal.commit.* kill point at the fourth
+// round's data commit (their seventh crossing).
+TEST(ManagerTest, CheckpointCrashPathsPersistPinnedImages) {
+  using Cfg = gpusim::FaultInjectorConfig;
+  auto at_flush = [](int64_t Cfg::*fault, int64_t flush) {
+    Cfg cfg;
+    cfg.seed = 21;
+    cfg.*fault = flush;
+    return cfg;
+  };
+  auto kill_at = [](const char* point, int64_t crossing) {
+    Cfg cfg;
+    cfg.kill_at_point = crossing;
+    cfg.kill_point_filter = point;
+    return cfg;
+  };
+  const struct {
+    std::string name;
+    Cfg cfg;
+    DurableTrail want;
+  } cases[] = {
+      {"none", {}, {0xddaa99e6u, 145984, 60594, 6, false}},
+      {"entry_fail", at_flush(&Cfg::io_fail_nth_flush, 10),
+       {0x29e8a1c3u, 145984, 60594, 5, false}},
+      {"entry_short", at_flush(&Cfg::io_short_write_at_flush, 10),
+       {0x74f6c103u, 105448, 121094, 3, true}},
+      {"entry_torn", at_flush(&Cfg::io_torn_write_at_flush, 10),
+       {0xd5a00f0au, 75214, 121094, 3, true}},
+      {"entry_bit_flip", at_flush(&Cfg::io_bit_flip_at_flush, 10),
+       {0x895af43du, 123424, 121094, 3, true}},
+      {"commit_fail", at_flush(&Cfg::io_fail_nth_flush, 9),
+       {0xd7c03694u, 145984, 60594, 5, false}},
+      {"commit_short", at_flush(&Cfg::io_short_write_at_flush, 9),
+       {0x86518e93u, 69608, 120233, 3, true}},
+      {"commit_torn", at_flush(&Cfg::io_torn_write_at_flush, 9),
+       {0xc4127a59u, 69608, 120236, 3, true}},
+      {"commit_bit_flip", at_flush(&Cfg::io_bit_flip_at_flush, 9),
+       {0x5acb2b5du, 69608, 121094, 3, true}},
+      {"wal.commit.before", kill_at("wal.commit.before", 6),
+       {0x4220d681u, 69608, 60594, 3, true}},
+      {"wal.commit.mid", kill_at("wal.commit.mid", 6),
+       {0x238f4224u, 69608, 91844, 3, true}},
+      {"wal.commit.after", kill_at("wal.commit.after", 6),
+       {0x33cdb502u, 69608, 121094, 3, true}},
+      {"ckpt.begin", kill_at("ckpt.begin", 3),
+       {0xe7db0966u, 69608, 121094, 3, true}},
+      {"ckpt.mid", kill_at("ckpt.mid", 3),
+       {0x3569af81u, 70632, 121094, 3, true}},
+      {"ckpt.entry_end", kill_at("ckpt.entry_end", 3),
+       {0x7cfabc7fu, 123424, 121094, 3, true}},
+      {"ckpt.mark", kill_at("ckpt.mark", 3),
+       {0x8cfc49a1u, 123424, 121119, 3, true}},
+      {"wal.truncate.after", kill_at("wal.truncate.after", 3),
+       {0x9fe3cd15u, 161488, 60594, 5, true}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const DurableTrail got = RunCheckpointRounds(c.cfg);
+    EXPECT_EQ(got.digest, c.want.digest);
+    EXPECT_EQ(got.checkpoint_bytes, c.want.checkpoint_bytes);
+    EXPECT_EQ(got.wal_bytes, c.want.wal_bytes);
+    EXPECT_EQ(got.checkpoints, c.want.checkpoints);
+    EXPECT_EQ(got.dead, c.want.dead);
+  }
+}
+
+// The writers trust their own bookkeeping instead of re-reading what they
+// wrote: the checkpoint store prunes from its entry index and the WAL is
+// cut at the offset recorded when the previous checkpoint was taken.  A
+// seeded run of group commits and checkpoints, with clean I/O failures
+// mixed in (they must leave both records untouched), checks after every
+// step that the index equals Scan() of the store's image, that the newest
+// recorded cut equals the ParseFrame walk of the log, and that each
+// truncation cut exactly at the previous checkpoint.
+TEST(ManagerTest, WriterBookkeepingMatchesFullScan) {
+  const uint64_t seed = testing::ChaosSeedFromEnv(1);
+  SCOPED_TRACE(testing::ChaosReproLine("tests/test_wal", seed));
+  SplitMix64 rng(seed);
+  gpusim::DeviceArena arena(0);
+  DyCuckooOptions options;
+  options.arena = &arena;
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Create(options, &table).ok());
+  DurabilityOptions dopts;
+  dopts.checkpoint_wal_bytes = 0;
+  dopts.checkpoint_wal_records = 0;  // manual checkpoints only
+  dopts.keep_checkpoints = 2 + static_cast<int>(rng.Next() % 3);
+  gpusim::FaultInjectorConfig cfg;
+  cfg.seed = seed;
+  cfg.io_flush_fail_probability = 0.15;
+  gpusim::ScopedFaultInjection scoped(cfg);
+  Manager manager(dopts);
+
+  auto expect_matches_scan = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::string& ckpt = manager.checkpoints().durable_image();
+    EXPECT_EQ(manager.checkpoints().entries(), CheckpointStore::Scan(ckpt));
+    const Wal& wal = manager.wal();
+    if (manager.last_checkpoint_lsn() > 0) {
+      EXPECT_EQ(wal.ImageOffset(manager.last_checkpoint_cut()),
+                Wal::ScanCut(wal.durable_image(),
+                             manager.last_checkpoint_lsn()));
+    }
+  };
+  uint64_t checked_truncations = 0;
+  for (int step = 0; step < 80; ++step) {
+    // A batch of distinct keys: upserts, then erases of other keys.
+    std::vector<uint32_t> keys(1 + rng.Next() % 400);
+    for (uint32_t& k : keys) k = 1 + static_cast<uint32_t>(rng.Next() % 5000);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const size_t inserts = keys.size() - keys.size() / 4;
+    std::vector<uint32_t> values(inserts);
+    for (size_t i = 0; i < inserts; ++i) {
+      values[i] = static_cast<uint32_t>(rng.Next());
+      manager.LogInsert(keys[i], values[i]);
+    }
+    ASSERT_TRUE(table->BulkInsert(std::span<const uint32_t>(keys.data(),
+                                                            inserts),
+                                  values)
+                    .ok());
+    for (size_t i = inserts; i < keys.size(); ++i) manager.LogErase(keys[i]);
+    ASSERT_TRUE(table->BulkErase(std::span<const uint32_t>(
+                                     keys.data() + inserts,
+                                     keys.size() - inserts))
+                    .ok());
+    Status st = manager.Commit();
+    ASSERT_TRUE(st.ok() || st.IsInternal()) << st.ToString();
+    expect_matches_scan(step);
+    if (rng.Next() % 3 != 0) continue;
+
+    const WalCut previous = manager.last_checkpoint_cut();
+    const uint64_t truncations = manager.wal().truncations();
+    st = manager.CheckpointNow(table.get());
+    ASSERT_TRUE(st.ok() || st.IsInternal()) << st.ToString();
+    ASSERT_FALSE(manager.dead());
+    expect_matches_scan(step);
+    if (manager.wal().truncations() > truncations) {
+      // The log now starts with the first record after the previous
+      // checkpoint.
+      const std::string& image = manager.wal().durable_image();
+      WalFileHeader header;
+      ASSERT_EQ(ParseWalFileHeader(image.data(), image.size(), &header),
+                ParseResult::kOk);
+      EXPECT_EQ(header.first_lsn, previous.lsn + 1);
+      ParsedRecord first;
+      ASSERT_EQ(ParseFrame(image.data() + kWalFileHeaderBytes,
+                           image.size() - kWalFileHeaderBytes, &first),
+                ParseResult::kOk);
+      EXPECT_EQ(first.lsn, previous.lsn + 1);
+      ++checked_truncations;
+    }
+  }
+  // The run exercised the paths it checks: failures, prunes, truncations.
+  EXPECT_GT(manager.stats().commit_failures +
+                manager.stats().checkpoint_failures,
+            0u);
+  EXPECT_GT(manager.checkpoints().prunes(), 0u);
+  EXPECT_GT(checked_truncations, 3u);
+}
+
+// Appends an entry wrapping `payload`, an arbitrary byte string.
+Status AppendPayload(CheckpointStore* store, uint64_t checkpoint_lsn,
+                     const std::string& payload) {
+  return store->AppendEntry(checkpoint_lsn,
+                            [&](std::string* out, uint32_t* crc) {
+                              out->append(payload);
+                              *crc = Crc32Update(0, payload.data(),
+                                                 payload.size());
+                              return Status::OK();
+                            });
+}
+
 TEST(CheckpointStoreTest, PruneKeepsNewestTwoEntries) {
   CheckpointStore store;
-  ASSERT_TRUE(store.AppendEntry(10, std::string(100, 'a')).ok());
-  ASSERT_TRUE(store.AppendEntry(20, std::string(200, 'b')).ok());
-  ASSERT_TRUE(store.AppendEntry(30, std::string(300, 'c')).ok());
+  ASSERT_TRUE(AppendPayload(&store, 10, std::string(100, 'a')).ok());
+  ASSERT_TRUE(AppendPayload(&store, 20, std::string(200, 'b')).ok());
+  ASSERT_TRUE(AppendPayload(&store, 30, std::string(300, 'c')).ok());
   ASSERT_TRUE(store.PruneToLast(2).ok());
   auto entries = CheckpointStore::Scan(store.durable_image());
   ASSERT_EQ(entries.size(), 2u);
@@ -450,9 +706,9 @@ TEST(CheckpointStoreTest, PruneKeepsNewestTwoEntries) {
 
 TEST(CheckpointStoreTest, ScanFlagsTornTailEntry) {
   CheckpointStore store;
-  ASSERT_TRUE(store.AppendEntry(10, std::string(100, 'a')).ok());
+  ASSERT_TRUE(AppendPayload(&store, 10, std::string(100, 'a')).ok());
   std::string image = store.durable_image();
-  ASSERT_TRUE(store.AppendEntry(20, std::string(200, 'b')).ok());
+  ASSERT_TRUE(AppendPayload(&store, 20, std::string(200, 'b')).ok());
   // Simulate a crash mid-write of entry #2: keep only half its bytes.
   size_t full = store.durable_image().size();
   image = store.durable_image().substr(0, image.size() + (full - image.size()) / 2);
