@@ -20,6 +20,9 @@ unsigned DefaultThreads() {
 }
 
 std::atomic<unsigned> global_threads{0};
+
+// The grid whose pool the calling thread belongs to, or nullptr.
+thread_local const Grid* tls_worker_of = nullptr;
 }  // namespace
 
 Grid::Grid(unsigned num_threads) : Grid(GridOptions{num_threads, false, {}}) {}
@@ -63,6 +66,11 @@ void Grid::SetGlobalThreads(unsigned num_threads) {
 void Grid::LaunchWarps(uint64_t num_warps,
                        const std::function<void(uint64_t)>& body) {
   if (num_warps == 0) return;
+  if (OnWorker()) {
+    // The pool is busy running the caller; waiting on it would deadlock.
+    LaunchInline(num_warps, body);
+    return;
+  }
   // Launches are serialized like kernels on one CUDA stream; the mutex
   // makes concurrent host threads (multiple tables sharing a grid) queue
   // instead of crash.
@@ -76,26 +84,7 @@ void Grid::LaunchWarps(uint64_t num_warps,
   if (launch.race_check != nullptr) {
     launch.race_check->OnLaunchBegin(num_warps);
   }
-
-  {
-    common::MutexLock lock(mu_);
-    DYCUCKOO_CHECK(current_ == nullptr);
-    current_ = &launch;
-    ++launch_epoch_;
-  }
-  work_cv_.notify_all();
-
-  {
-    std::unique_lock<common::Mutex> lock(mu_);
-    // Wait until every warp ran AND every worker has left the launch —
-    // `launch` lives on this stack frame, so a straggler still touching
-    // launch->next after the last warp completes must hold us here.
-    done_cv_.wait(lock, [&] {
-      return launch.done.load(std::memory_order_acquire) == num_warps &&
-             launch.workers_inside == 0;
-    });
-    current_ = nullptr;
-  }
+  RunOnWorkers(&launch);
   if (launch.race_check != nullptr) {
     launch.race_check->OnLaunchEnd();
   }
@@ -107,7 +96,64 @@ void Grid::LaunchWarps(uint64_t num_warps,
   }
 }
 
+void Grid::RunTasks(uint64_t num_tasks,
+                    const std::function<void(uint64_t)>& task) {
+  if (num_tasks == 0) return;
+  if (OnWorker()) {
+    for (uint64_t i = 0; i < num_tasks; ++i) task(i);
+    return;
+  }
+  common::MutexLock launch_lock(launch_mu_);
+  Launch launch;
+  launch.num_warps = num_tasks;
+  launch.body = &task;
+  launch.kernel = false;
+  RunOnWorkers(&launch);
+}
+
+void Grid::LaunchInline(uint64_t num_warps,
+                        const std::function<void(uint64_t)>& body) {
+  // The same hooks, in the same order, as a worker running the launch.
+  RaceCheck* rc = RaceCheck::Active();
+  if (rc != nullptr) rc->OnLaunchBegin(num_warps);
+  FaultInjector* injector = FaultInjector::Active();
+  for (uint64_t w = 0; w < num_warps; ++w) {
+    if (injector != nullptr) injector->OnWarpStart(w);
+    if (rc != nullptr) rc->OnWarpBegin(w);
+    body(w);
+    if (rc != nullptr) rc->OnWarpEnd();
+  }
+  if (rc != nullptr) rc->OnLaunchEnd();
+  if (VirtualClock* clock = VirtualClock::Active()) {
+    clock->OnLaunchCompleted(num_warps);
+  }
+}
+
+bool Grid::OnWorker() const { return tls_worker_of == this; }
+
+void Grid::RunOnWorkers(Launch* launch) {
+  {
+    common::MutexLock lock(mu_);
+    DYCUCKOO_CHECK(current_ == nullptr);
+    current_ = launch;
+    ++launch_epoch_;
+  }
+  work_cv_.notify_all();
+
+  std::unique_lock<common::Mutex> lock(mu_);
+  // Wait until every warp ran AND every worker has left the launch —
+  // `launch` lives on the caller's stack frame, so a straggler still
+  // touching launch->next after the last warp completes must hold us here.
+  done_cv_.wait(lock, [&] {
+    return launch->done.load(std::memory_order_acquire) ==
+               launch->num_warps &&
+           launch->workers_inside == 0;
+  });
+  current_ = nullptr;
+}
+
 void Grid::WorkerLoop() {
+  tls_worker_of = this;
   uint64_t seen_epoch = 0;
   for (;;) {
     Launch* launch = nullptr;
@@ -133,7 +179,8 @@ void Grid::WorkerLoop() {
       uint64_t begin = launch->next.fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= total) break;
       uint64_t end = std::min(begin + chunk, total);
-      FaultInjector* injector = FaultInjector::Active();
+      FaultInjector* injector =
+          launch->kernel ? FaultInjector::Active() : nullptr;
       RaceCheck* rc = launch->race_check;
       for (uint64_t w = begin; w < end; ++w) {
         // Scheduling perturbation: a real GPU gives no ordering guarantee

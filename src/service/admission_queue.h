@@ -36,12 +36,15 @@ class AdmissionQueue {
   /// capacity.  Never blocks.
   Status Push(T item) {
     common::MutexLock lock(mu_);
-    if (items_.size() >= capacity_) {
-      return Status::ResourceExhausted(
-          "admission queue full (" + std::to_string(capacity_) + " requests)");
-    }
+    if (items_.size() >= capacity_) return Full(capacity_);
     items_.push_back(std::move(item));
     return Status::OK();
+  }
+
+  /// The rejection for a queue of `capacity` that is full.
+  static Status Full(uint64_t capacity) {
+    return Status::ResourceExhausted(
+        "admission queue full (" + std::to_string(capacity) + " requests)");
   }
 
   /// Dequeues the oldest item; false when empty.

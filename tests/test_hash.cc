@@ -189,6 +189,23 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   }
 }
 
+// Inputs of 64 bytes or more take the carry-less-multiply fold where the
+// CPU has one; it must agree with the byte-at-a-time definition at every
+// length up to 4 KiB, from every alignment of a 16-byte load.
+TEST(Crc32Test, FoldedPathMatchesBytewiseAtEveryLengthAndMisalignment) {
+  constexpr size_t kMaxLen = 4096;
+  const auto bytes = RandomBytes(kMaxLen + 16, 4242);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const unsigned char* p = bytes.data() + offset;
+    uint32_t expected = 0;  // the reference CRC of p[0, len), grown by one
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32Update(0, p, len), expected)
+          << "offset " << offset << " length " << len;
+      if (len < kMaxLen) expected = ReferenceCrc32(expected, p + len, 1);
+    }
+  }
+}
+
 TEST(Crc32Test, RandomIncrementalSplitsMatchOneShot) {
   const auto bytes = RandomBytes(4096, 7);
   const uint32_t whole = ReferenceCrc32(0, bytes.data(), bytes.size());
@@ -224,6 +241,22 @@ TEST(Crc32Test, CombineMatchesOneShotAtEverySplit) {
     const auto bytes = RandomBytes(len, rng.Next());
     for (size_t split = 0; split <= len; ++split) {
       ExpectCombineMatchesOneShot(bytes, split);
+    }
+  }
+}
+
+TEST(Crc32Test, CombineMatchesOneShotOverFoldedMisalignedHalves) {
+  constexpr size_t kLen = 1040;
+  const auto bytes = RandomBytes(kLen + 15, 63);
+  for (size_t offset : {size_t{0}, size_t{5}, size_t{15}}) {
+    const unsigned char* p = bytes.data() + offset;
+    const uint32_t whole = ReferenceCrc32(0, p, kLen);
+    for (size_t split = 0; split <= kLen; ++split) {
+      ASSERT_EQ(Crc32Combine(Crc32Update(0, p, split),
+                             Crc32Update(0, p + split, kLen - split),
+                             kLen - split),
+                whole)
+          << "offset " << offset << " split " << split;
     }
   }
 }
