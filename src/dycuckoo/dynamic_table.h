@@ -1731,9 +1731,11 @@ class DynamicTable {
             if (!(latest == op.value)) table.StoreValue(loc, match_slot, latest);
           } else {
             // A concurrent DELETE claimed the parked copy: it wins, and it
-            // takes the bucket copy with it.
-            table.StoreKey(loc, match_slot, kEmptyKey);
-            table.AddSize(-1);
+            // takes the bucket copy with it — unless a lock-free DELETE
+            // CASed that copy out first and took the decrement itself.
+            if (table.CasKey(loc, match_slot, op.key, kEmptyKey)) {
+              table.AddSize(-1);
+            }
             ring_.FreeClaimed(op.ring_slot);
           }
           op.ring_slot = -1;
@@ -1859,8 +1861,29 @@ class DynamicTable {
       stats_.parked_victims.fetch_add(1, kRelaxed);
       // Unpublish the victim's key before the overwrite so no reader can
       // pair vk with the incoming value mid-swap; the parked copy keeps vk
-      // findable through the empty window.
-      table.StoreKey(loc, victim, kEmptyKey);
+      // findable through the empty window.  A CAS, because a lock-free
+      // DELETE may have released the slot since we read vk: that delete
+      // won and took the size decrement, so the parked copy is withdrawn
+      // (it would bring the key back) and the incoming pair simply takes
+      // the vacated slot.
+      if (!table.CasKey(loc, victim, vk, kEmptyKey)) {
+        Value unused{};
+        if (!ring_.Retire(vslot, vword, &unused)) ring_.FreeClaimed(vslot);
+        bool placed = PlaceTerminal(table, loc, victim, &op);
+        table.lock(loc).Unlock();
+        if (placed) table.AddSize(1);
+        op.active = false;
+        active &= ~(gpusim::LaneMask{1} << leader);
+        ++new_count;
+        continue;
+      }
+      // A lock-free upsert that CASed the victim's value after we read vv
+      // landed on the bucket copy only: carry it into the parked copy,
+      // unless an upsert of the parked copy already superseded it.
+      const Value settled = table.ValueAt(loc, victim);
+      if (!(settled == vv) && ring_.Refresh(vslot, &vword, settled)) {
+        vv = settled;
+      }
       bool placed = PlaceTerminal(table, loc, victim, &op);
       table.lock(loc).Unlock();
       // A swap is count-neutral (victim out, incoming pair in); when the
@@ -1889,7 +1912,10 @@ class DynamicTable {
   /// never observes a gap.  Returns false when a concurrent DELETE claimed
   /// the parked copy: the placement is undone (the delete wins) and the
   /// slot is left empty.  The caller still holds the bucket lock and owns
-  /// the size accounting either way.
+  /// the size accounting either way: true means the slot's occupancy is
+  /// the caller's to count — also when a lock-free DELETE released the
+  /// published copy before the undo, since that delete took the slot's
+  /// decrement.
   bool PlaceTerminal(SubtableT& table, uint64_t loc, int slot, LaneOp* op) {
     table.StoreSlot(loc, slot, op->key, op->value);
     gpusim::CountBucketWrite();
@@ -1902,10 +1928,10 @@ class DynamicTable {
       op->ring_slot = -1;
       return true;
     }
-    table.StoreKey(loc, slot, kEmptyKey);
+    const bool undone = table.CasKey(loc, slot, op->key, kEmptyKey);
     ring_.FreeClaimed(op->ring_slot);
     op->ring_slot = -1;
-    return false;
+    return !undone;
   }
 
   /// Terminal failure path (exhausted chain, dead end, or full handoff

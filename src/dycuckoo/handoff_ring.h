@@ -150,6 +150,23 @@ class HandoffRing {
     }
   }
 
+  /// Owner-side value refresh of an owned parked entry whose state word is
+  /// still `*word`: writes `v` and advances `*word`.  Returns false, writing
+  /// nothing, when an upsert updated the entry or a DELETE claimed it
+  /// since — their outcome stands.
+  bool Refresh(int slot, uint64_t* word, Value v) {
+    const uint64_t i = static_cast<uint64_t>(slot);
+    const uint64_t busy = MakeWord(GenOf(*word), kUpdating);
+    if (!gpusim::AtomicCasWord(&words_[i], *word, busy)) return false;
+    gpusim::StoreRacy(&values_[i], v);
+    const uint64_t parked = MakeWord(GenOf(*word) + 1, kParked);
+    bool ok = gpusim::AtomicCasWord(&words_[i], busy, parked);
+    DYCUCKOO_DCHECK(ok);
+    (void)ok;
+    *word = parked;
+    return true;
+  }
+
   /// Releases a slot whose entry a concurrent DELETE claimed (Retire
   /// returned false) after the owner undid its placement.
   void FreeClaimed(int slot) {

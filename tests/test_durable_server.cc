@@ -506,6 +506,55 @@ TEST(DurableServerTest, CleanFlushFailureSurfacesDataLossThenRecovers) {
   EXPECT_EQ(v, 30u);
 }
 
+// One micro-batch of one-op requests insert(k), erase(k), insert(k'),
+// erase(k'), ... on a multi-worker grid: the live table must end as the
+// WAL replays it (every key erased), because the batch executes across
+// requests in admission order, the order the WAL logs.
+TEST(DurableServerTest, CoalescedInsertThenEraseLeavesWhatRecoveryRebuilds) {
+  gpusim::DeviceArena arena(0);
+  gpusim::Grid grid(4);
+  DyCuckooOptions topt;
+  topt.arena = &arena;
+  topt.grid = &grid;
+  TableServerOptions sopt;
+  constexpr uint32_t kKeys = 1000;
+  sopt.queue_capacity = 2 * kKeys;
+  sopt.max_batch_ops = 2 * kKeys;  // every request in one micro-batch
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Create(topt, sopt, &server).ok());
+  Manager manager;
+  server->AttachDurability(&manager);
+
+  std::vector<uint64_t> ids;
+  for (uint32_t k = 1; k <= kKeys; ++k) {
+    for (OpType type : {OpType::kInsert, OpType::kErase}) {
+      Server::Request req;
+      req.ops.push_back(Server::Op{type, k, k * 7});
+      ids.push_back(server->Submit(std::move(req)));
+    }
+  }
+  EXPECT_EQ(server->Step(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Server::Response resp;
+    ASSERT_TRUE(server->TakeResponse(ids[i], &resp));
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    if (i % 2 == 1) {
+      EXPECT_EQ(resp.results[0].hit, 1u) << "erase " << i / 2;
+    }
+  }
+  EXPECT_EQ(server->table()->size(), 0u);
+
+  std::istringstream cs(manager.checkpoints().durable_image());
+  std::istringstream ws(manager.wal().durable_image());
+  std::unique_ptr<Table> recovered;
+  durability::RecoveryReport report;
+  Status rst =
+      durability::Recover<uint32_t, uint32_t>(cs, ws, topt, &recovered,
+                                              &report);
+  ASSERT_TRUE(rst.ok()) << rst.ToString();
+  EXPECT_EQ(TableDigest(*recovered), TableDigest(*server->table()));
+}
+
 // A crash before the group commit persists anything must leave no ack and
 // an empty recovery: the client was never told the write happened.
 TEST(DurableServerTest, CrashBeforeCommitNeverAcksAndRecoversEmpty) {

@@ -259,8 +259,9 @@ HistoryChecker RunHistory(uint64_t seed, const RunConfig& cfg,
       // The unsafe regression hook also disables the duplicate guard (the
       // displacement epoch never advances), so structural validation only
       // holds in safe mode.
-      EXPECT_TRUE(t->Validate().ok()) << "seed " << seed << " round "
-                                      << round;
+      Status valid = t->Validate();
+      EXPECT_TRUE(valid.ok()) << "seed " << seed << " round " << round
+                              << ": " << valid.ToString();
     }
   }
 

@@ -135,6 +135,84 @@ TEST(TableServerTest, AckedKeysAlwaysFoundUnderCoalescedInserts) {
       << "no eviction chains ran; the test proved nothing";
 }
 
+TEST(TableServerTest, SharedKeysKeepAdmissionOrderWithinABatch) {
+  // Requests coalesced into one micro-batch answer exactly as if they ran
+  // one after another in admission order, even when they share keys: a
+  // request that touches a key an earlier request of the launch touched,
+  // with a write on either side, goes to the next launch.  A shadow map
+  // replays every round sequentially.  Keys are distinct inside each
+  // request, whose own ops stay concurrent.
+  TableServerOptions sopt;
+  sopt.max_batch_ops = 1 << 16;  // each round is one micro-batch
+  DyCuckooOptions topt;
+  topt.initial_capacity = 1024;
+  auto server = MakeServer(sopt, topt);
+  auto universe = testing::UniqueKeys(96, 7);
+  SplitMix64 rng(0x0DE5);
+  std::unordered_map<uint32_t, uint32_t> model;
+  uint32_t next_value = 1;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Server::Request> requests(24);
+    std::vector<uint64_t> ids;
+    for (Server::Request& req : requests) {
+      std::unordered_set<uint32_t> used;
+      const uint64_t n = 1 + rng.NextBounded(8);
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint32_t k = universe[rng.NextBounded(universe.size())];
+        if (!used.insert(k).second) continue;
+        const uint64_t roll = rng.NextBounded(3);
+        const OpType type = roll == 0   ? OpType::kInsert
+                            : roll == 1 ? OpType::kErase
+                                        : OpType::kFind;
+        req.ops.push_back(Server::Op{
+            type, k, type == OpType::kInsert ? next_value++ : 0u});
+      }
+      ids.push_back(server->Submit(req));
+    }
+    ASSERT_EQ(server->Step(), requests.size()) << "round " << round;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      Server::Response resp;
+      ASSERT_TRUE(server->TakeResponse(ids[r], &resp));
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      ASSERT_EQ(resp.results.size(), requests[r].ops.size());
+      for (size_t i = 0; i < requests[r].ops.size(); ++i) {
+        const Server::Op& op = requests[r].ops[i];
+        const auto it = model.find(op.key);
+        const bool present = it != model.end();
+        if (op.type == OpType::kFind) {
+          EXPECT_EQ(resp.results[i].hit, present ? 1u : 0u)
+              << "round " << round << " request " << r << " key " << op.key;
+          if (present) {
+            EXPECT_EQ(resp.results[i].value, it->second);
+          }
+        } else if (op.type == OpType::kErase) {
+          EXPECT_EQ(resp.results[i].hit, present ? 1u : 0u)
+              << "round " << round << " request " << r << " key " << op.key;
+          model.erase(op.key);
+        } else {
+          model[op.key] = op.value;
+        }
+      }
+    }
+  }
+  // Shared keys must have split some micro-batches into several launches.
+  EXPECT_GT(server->stats().Capture().batch_launches,
+            static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(server->table()->size(), model.size());
+  std::vector<uint32_t> keys;
+  for (const auto& [k, v] : model) keys.push_back(k);
+  uint64_t r = server->Submit(FindReq(keys));
+  server->RunUntilIdle();
+  Server::Response resp;
+  ASSERT_TRUE(server->TakeResponse(r, &resp));
+  ASSERT_TRUE(resp.status.ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(resp.results[i].hit, 1u);
+    EXPECT_EQ(resp.results[i].value, model[keys[i]]);
+  }
+}
+
 TEST(TableServerTest, EraseReportsHits) {
   auto server = MakeServer({});
   auto keys = testing::UniqueKeys(100);
