@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -95,7 +97,11 @@ uint64_t MegaKvTable::BucketIndex(int table, Key key) const {
 }
 
 bool MegaKvTable::InsertOne(Key key, Value value, uint64_t* overflow_packed) {
-  // Upsert pass: overwrite the value if the key is already resident.
+  return UpsertOne(key, value) || WalkInsert(key, value, overflow_packed);
+}
+
+bool MegaKvTable::UpsertOne(Key key, Value value) {
+  // Overwrite the value if the key is already resident.
   for (int t = 0; t < 2; ++t) {
     uint64_t loc = BucketIndex(t, key);
     gpusim::CountBucketRead();
@@ -108,7 +114,11 @@ bool MegaKvTable::InsertOne(Key key, Value value, uint64_t* overflow_packed) {
       }
     }
   }
+  return false;
+}
 
+bool MegaKvTable::WalkInsert(Key key, Value value,
+                             uint64_t* overflow_packed) {
   // Cuckoo walk with single-word exchanges (no bucket locks).
   uint64_t carried = PackKv(key, value);
   int table = static_cast<int>(Mix64(key) & 1);
@@ -165,20 +175,40 @@ Status MegaKvTable::BulkInsert(std::span<const Key> keys,
   const Value* vp = values.data();
   const uint64_t n = keys.size();
 
+  // Two launches: upserts of resident keys first, then cuckoo walks for
+  // the rest.  In one launch a blind upsert exchange could overwrite a
+  // pair a concurrent walk had just moved into the slot, and a walk
+  // carrying a key in registers would hide it from a same-key upsert,
+  // which would then store a second copy.
+  std::vector<uint8_t> walk(n);
   auto run_batch = [&](const Key* bk, const Value* bv, const uint64_t* packed,
                        uint64_t count) {
+    auto item = [&](uint64_t i) {
+      return std::pair<Key, Value>{
+          packed != nullptr ? PackedKey(packed[i]) : bk[i],
+          packed != nullptr ? PackedValue(packed[i]) : bv[i]};
+    };
+    walk.assign(count, 0);
     grid_->LaunchWarps(gpusim::WarpsForItems(count), [&](uint64_t warp) {
       const uint64_t base = warp * gpusim::kWarpSize;
       const uint64_t end = std::min(count, base + gpusim::kWarpSize);
       for (uint64_t i = base; i < end; ++i) {
-        Key k = packed != nullptr ? PackedKey(packed[i]) : bk[i];
-        Value v = packed != nullptr ? PackedValue(packed[i]) : bv[i];
+        auto [k, v] = item(i);
         if (!IsStorableKey(k)) {
           invalid.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
+        walk[i] = !UpsertOne(k, v);
+      }
+    });
+    grid_->LaunchWarps(gpusim::WarpsForItems(count), [&](uint64_t warp) {
+      const uint64_t base = warp * gpusim::kWarpSize;
+      const uint64_t end = std::min(count, base + gpusim::kWarpSize);
+      for (uint64_t i = base; i < end; ++i) {
+        if (!walk[i]) continue;
+        auto [k, v] = item(i);
         uint64_t spilled = 0;
-        if (!InsertOne(k, v, &spilled)) {
+        if (!WalkInsert(k, v, &spilled)) {
           overflow[overflow_count.fetch_add(1, std::memory_order_relaxed)] =
               spilled;
         }

@@ -116,6 +116,11 @@ class MegaKvTable : public HashTableInterface {
   /// exceeded the bound (the carried pair is written to *overflow).
   bool InsertOne(Key key, Value value, uint64_t* overflow_packed);
 
+  /// The two halves of InsertOne: overwrites the value of a resident key
+  /// (false when absent), and the cuckoo walk that places an absent one.
+  bool UpsertOne(Key key, Value value);
+  bool WalkInsert(Key key, Value value, uint64_t* overflow_packed);
+
   /// Doubles (grow=true) or halves total capacity and rehashes every pair.
   Status Rehash(bool grow);
 
