@@ -64,7 +64,7 @@ LatencyProfile Profile(HashTableInterface* table,
 // a TableServer would run it: a bounded slice after every batch, sized so
 // a full pass completes every ~8 batches.  The delta against the
 // unscrubbed baseline is the steady-state cost of silent-corruption
-// detection — recorded in BENCH_integrity.json for the perf trajectory.
+// detection, printed as each dataset's "scrub-overhead" row.
 
 struct ScrubOverhead {
   LatencyProfile baseline;
@@ -131,38 +131,6 @@ ScrubOverhead ProfileScrubOverhead(
   return r;
 }
 
-struct IntegrityDatasetResult {
-  std::string dataset;
-  ScrubOverhead overhead;
-};
-
-void WriteIntegrityJson(const std::string& path,
-                        const std::vector<IntegrityDatasetResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"scrub_verify_overhead\",\n");
-  std::fprintf(f, "  \"datasets\": [\n");
-  for (size_t d = 0; d < results.size(); ++d) {
-    const ScrubOverhead& r = results[d].overhead;
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"baseline_mean_ms\": %.4f, "
-        "\"baseline_p99_ms\": %.4f, \"scrubbed_mean_ms\": %.4f, "
-        "\"scrubbed_p99_ms\": %.4f, \"overhead_pct\": %.2f, "
-        "\"scrub_passes\": %llu, \"corrupted_slots\": %llu}%s\n",
-        results[d].dataset.c_str(), r.baseline.mean_ms, r.baseline.p99_ms,
-        r.scrubbed.mean_ms, r.scrubbed.p99_ms, r.overhead_pct,
-        static_cast<unsigned long long>(r.scrub_passes),
-        static_cast<unsigned long long>(r.corrupted_slots),
-        d + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 // --- Sharded tail latency -------------------------------------------------
 //
 // The fault-isolation argument has a latency corollary: with the keyspace
@@ -176,7 +144,6 @@ void WriteIntegrityJson(const std::string& path,
 struct ShardLatency {
   uint32_t shard;
   double mean_ms;
-  double p50_ms;
   double p99_ms;
   double max_ms;
 };
@@ -235,44 +202,12 @@ std::vector<ShardLatency> ProfileSharded(
     ShardLatency p;
     p.shard = s;
     p.mean_ms = sum / static_cast<double>(ms[s].size());
-    p.p50_ms = ms[s][ms[s].size() / 2];
     p.p99_ms = ms[s][std::min(ms[s].size() - 1,
                               static_cast<size_t>(ms[s].size() * 0.99))];
     p.max_ms = ms[s].back();
     profiles.push_back(p);
   }
   return profiles;
-}
-
-struct ShardedDatasetResult {
-  std::string dataset;
-  std::vector<ShardLatency> shards;
-};
-
-void WriteShardsJson(const std::string& path, uint32_t num_shards,
-                     const std::vector<ShardedDatasetResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"stability_latency\",\n");
-  std::fprintf(f, "  \"num_shards\": %u,\n  \"datasets\": [\n", num_shards);
-  for (size_t d = 0; d < results.size(); ++d) {
-    std::fprintf(f, "    {\"name\": \"%s\", \"shards\": [\n",
-                 results[d].dataset.c_str());
-    for (size_t s = 0; s < results[d].shards.size(); ++s) {
-      const ShardLatency& p = results[d].shards[s];
-      std::fprintf(f,
-                   "      {\"shard\": %u, \"mean_ms\": %.4f, "
-                   "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"max_ms\": %.4f}%s\n",
-                   p.shard, p.mean_ms, p.p50_ms, p.p99_ms, p.max_ms,
-                   s + 1 < results[d].shards.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", d + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 // --- Mid-reshard latency --------------------------------------------------
@@ -288,7 +223,6 @@ void WriteShardsJson(const std::string& path, uint32_t num_shards,
 
 struct ReshardLatency {
   double mean_ms = 0;
-  double p50_ms = 0;
   double p99_ms = 0;
   double max_ms = 0;
 };
@@ -300,7 +234,6 @@ ReshardLatency SummarizeRounds(std::vector<double> ms) {
   double sum = 0;
   for (double m : ms) sum += m;
   r.mean_ms = sum / static_cast<double>(ms.size());
-  r.p50_ms = ms[ms.size() / 2];
   r.p99_ms = ms[std::min(ms.size() - 1,
                          static_cast<size_t>(ms.size() * 0.99))];
   r.max_ms = ms.back();
@@ -402,36 +335,6 @@ ReshardProfile ProfileMidReshard(uint32_t from_shards, uint64_t seed) {
   return r;
 }
 
-void WriteReshardJson(const std::string& path, const ReshardProfile& r) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  auto lane = [f](const char* name, const ReshardLatency& l, bool comma) {
-    std::fprintf(f,
-                 "  \"%s\": {\"mean_ms\": %.4f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f, \"max_ms\": %.4f}%s\n",
-                 name, l.mean_ms, l.p50_ms, l.p99_ms, l.max_ms,
-                 comma ? "," : "");
-  };
-  std::fprintf(f, "{\n  \"bench\": \"mid_reshard_latency\",\n");
-  std::fprintf(f, "  \"from_shards\": %u,\n  \"to_shards\": %u,\n",
-               r.from_shards, r.to_shards);
-  lane("quiescent", r.quiescent, true);
-  lane("mid_reshard", r.mid_reshard, true);
-  lane("post_reshard", r.post, true);
-  std::fprintf(f, "  \"reshard_rounds\": %llu,\n",
-               static_cast<unsigned long long>(r.reshard_rounds));
-  std::fprintf(f, "  \"blocked_writes\": %llu,\n",
-               static_cast<unsigned long long>(r.blocked_writes));
-  std::fprintf(f, "  \"p99_mid_over_quiescent\": %.2f,\n",
-               r.mid_reshard.p99_ms / std::max(r.quiescent.p99_ms, 1e-9));
-  std::fprintf(f, "  \"completed\": %s\n}\n",
-               r.completed ? "true" : "false");
-  std::fclose(f);
-}
-
 uint32_t BenchShardsFromEnv() {
   const char* env = std::getenv("DYCUCKOO_BENCH_SHARDS");
   if (env == nullptr || *env == '\0') return 4;
@@ -443,8 +346,6 @@ int Main(int argc, char** argv) {
   BenchArgs args = BenchArgs::Parse(argc, argv, /*default_scale=*/0.002);
   auto datasets = AllDatasets(args.scale, args.seed);
   const uint32_t num_shards = BenchShardsFromEnv();
-  std::vector<ShardedDatasetResult> sharded_results;
-  std::vector<IntegrityDatasetResult> integrity_results;
 
   PrintHeader("Stability: per-batch latency distribution over the dynamic "
               "timeline (r=0.2, scale=" + Fmt(args.scale, 4) + ")",
@@ -475,35 +376,27 @@ int Main(int argc, char** argv) {
     PrintRow({data.name, "DyCuckoo", Fmt(pd.mean_ms, 3), Fmt(pd.p99_ms, 3),
               Fmt(pd.max_ms, 3), Fmt(pd.max_over_mean, 1)});
 
-    IntegrityDatasetResult integrity;
-    integrity.dataset = data.name;
-    integrity.overhead = ProfileScrubOverhead(cfg, batches);
-    PrintRow({data.name, "DyCuckoo+scrub",
-              Fmt(integrity.overhead.scrubbed.mean_ms, 3),
-              Fmt(integrity.overhead.scrubbed.p99_ms, 3),
-              Fmt(integrity.overhead.scrubbed.max_ms, 3),
-              Fmt(integrity.overhead.scrubbed.max_over_mean, 1)});
-    integrity_results.push_back(std::move(integrity));
+    const ScrubOverhead scrub = ProfileScrubOverhead(cfg, batches);
+    PrintRow({data.name, "DyCuckoo+scrub", Fmt(scrub.scrubbed.mean_ms, 3),
+              Fmt(scrub.scrubbed.p99_ms, 3), Fmt(scrub.scrubbed.max_ms, 3),
+              Fmt(scrub.scrubbed.max_over_mean, 1)});
+    PrintRow({data.name, "scrub-overhead",
+              "overhead_pct=" + Fmt(scrub.overhead_pct, 2),
+              "scrub_passes=" + std::to_string(scrub.scrub_passes),
+              "corrupted_slots=" + std::to_string(scrub.corrupted_slots)});
 
-    ShardedDatasetResult sharded;
-    sharded.dataset = data.name;
-    sharded.shards = ProfileSharded(num_shards, args.seed, cfg, batches);
-    for (const ShardLatency& p : sharded.shards) {
+    for (const ShardLatency& p :
+         ProfileSharded(num_shards, args.seed, cfg, batches)) {
       PrintRow({data.name,
                 "DyCuckoo-shard" + std::to_string(p.shard) + "/" +
                     std::to_string(num_shards),
                 Fmt(p.mean_ms, 3), Fmt(p.p99_ms, 3), Fmt(p.max_ms, 3),
                 Fmt(p.max_ms / std::max(p.mean_ms, 1e-9), 1)});
     }
-    sharded_results.push_back(std::move(sharded));
   }
-  WriteShardsJson("BENCH_shards.json", num_shards, sharded_results);
-  std::printf("# per-shard p50/p99 written to BENCH_shards.json (%u shards; "
-              "override with DYCUCKOO_BENCH_SHARDS)\n",
+  std::printf("# sharded rows: %u shards (override with "
+              "DYCUCKOO_BENCH_SHARDS)\n",
               num_shards);
-  WriteIntegrityJson("BENCH_integrity.json", integrity_results);
-  std::printf("# scrub-verify overhead vs baseline written to "
-              "BENCH_integrity.json\n");
 
   ReshardProfile rp = ProfileMidReshard(num_shards, args.seed);
   PrintRow({"reshard", "quiescent", Fmt(rp.quiescent.mean_ms, 3),
@@ -521,10 +414,8 @@ int Main(int argc, char** argv) {
   PrintRow({"reshard", "post-split", Fmt(rp.post.mean_ms, 3),
             Fmt(rp.post.p99_ms, 3), Fmt(rp.post.max_ms, 3),
             Fmt(rp.post.max_ms / std::max(rp.post.mean_ms, 1e-9), 1)});
-  WriteReshardJson("BENCH_reshard.json", rp);
-  std::printf("# mid-reshard vs quiescent latency written to "
-              "BENCH_reshard.json (%llu reshard rounds, %llu blocked "
-              "writes, completed=%s)\n",
+  std::printf("# reshard: %llu rounds with the split in flight, %llu "
+              "blocked writes, completed=%s\n",
               static_cast<unsigned long long>(rp.reshard_rounds),
               static_cast<unsigned long long>(rp.blocked_writes),
               rp.completed ? "true" : "false");

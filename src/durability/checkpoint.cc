@@ -133,7 +133,7 @@ Status CheckpointStore::PruneToLast(int keep) {
 }
 
 std::vector<CheckpointEntryView> CheckpointStore::Scan(
-    const std::string& image) {
+    std::string_view image) {
   std::vector<CheckpointEntryView> out;
   size_t offset = 0;
   while (offset < image.size()) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -69,7 +70,7 @@ class CheckpointStore {
   /// corrupt entry is returned with valid=false; scanning stops at the
   /// first byte that is not an entry magic (nothing valid can follow in an
   /// append-only store).
-  static std::vector<CheckpointEntryView> Scan(const std::string& image);
+  static std::vector<CheckpointEntryView> Scan(std::string_view image);
 
   bool dead() const { return dead_; }
   const std::string& durable_image() const { return durable_; }

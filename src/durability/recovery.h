@@ -279,13 +279,14 @@ Status ScanWal(std::string_view wal_image, uint64_t base_lsn,
 
 }  // namespace internal
 
-/// Rebuilds a table from a checkpoint stream and a WAL stream (either may
-/// be empty).  On success `*out` holds the recovered table and `*report`
-/// describes the recovery.  Returns DataLoss when acknowledged bytes are
-/// provably gone (WAL truncated past the checkpoint, mid-log corruption,
-/// unreadable WAL header); a torn tail is NOT an error.
+/// Rebuilds a table from a checkpoint image and a WAL image (either may
+/// be empty), read in place.  On success `*out` holds the recovered table
+/// and `*report` describes the recovery.  Returns DataLoss when
+/// acknowledged bytes are provably gone (WAL truncated past the
+/// checkpoint, mid-log corruption, unreadable WAL header); a torn tail is
+/// NOT an error.
 template <typename Key, typename Value>
-Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
+Status Recover(std::string_view ckpt_image, std::string_view wal_image,
                const DyCuckooOptions& options,
                std::unique_ptr<DynamicTable<Key, Value>>* out,
                RecoveryReport* report, const RecoverySource& source = {}) {
@@ -293,8 +294,6 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
   report->shard_id = source.shard_id;
   report->segment = source.segment;
   out->reset();
-  const std::string ckpt_image = DrainStream(checkpoint_stream);
-  const std::string wal_image = DrainStream(wal_stream);
 
   // --- 1. newest valid checkpoint -----------------------------------------
   std::unique_ptr<DynamicTable<Key, Value>> table;
@@ -307,9 +306,8 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
       continue;
     }
     Status st = DynamicTable<Key, Value>::Load(
-        std::string_view(ckpt_image).substr(it->payload_offset,
-                                            it->payload_len),
-        options, &table);
+        ckpt_image.substr(it->payload_offset, it->payload_len), options,
+        &table);
     if (st.ok()) {
       checkpoint_lsn = it->checkpoint_lsn;
     } else {
@@ -360,6 +358,17 @@ Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
 
   *out = std::move(table);
   return Status::OK();
+}
+
+/// Recover() of every byte left in the two streams.
+template <typename Key, typename Value>
+Status Recover(std::istream& checkpoint_stream, std::istream& wal_stream,
+               const DyCuckooOptions& options,
+               std::unique_ptr<DynamicTable<Key, Value>>* out,
+               RecoveryReport* report, const RecoverySource& source = {}) {
+  return Recover<Key, Value>(DrainStream(checkpoint_stream),
+                             DrainStream(wal_stream), options, out, report,
+                             source);
 }
 
 /// Outcome of a targeted key read-back from durable state (PointLookup).

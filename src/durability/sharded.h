@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,8 +231,6 @@ std::vector<ShardRecoveryOutcome<Key, Value>> RecoverAllShards(
   auto recover_one = [&](uint32_t shard) {
     ShardRecoveryOutcome<Key, Value>& o = outcomes[shard];
     o.shard_id = shard;
-    std::istringstream ckpt(images[shard].checkpoint);
-    std::istringstream wal(images[shard].wal);
     RecoverySource source;
     if (sources != nullptr) {
       source = (*sources)[shard];
@@ -241,8 +238,9 @@ std::vector<ShardRecoveryOutcome<Key, Value>> RecoverAllShards(
       source.shard_id = shard;
       source.segment = WalSegmentName(shard, n);
     }
-    o.status = Recover<Key, Value>(ckpt, wal, options[shard], &o.table,
-                                   &o.report, source);
+    o.status = Recover<Key, Value>(images[shard].checkpoint,
+                                   images[shard].wal, options[shard],
+                                   &o.table, &o.report, source);
   };
 
   if (workers <= 1) {

@@ -4,7 +4,7 @@
 //  * d subtables of cache-line buckets (Section IV-A, subtable.h)
 //  * layer-1 pair hashing bounding FIND/DELETE to two lookups (Section V-A,
 //    pair_map.h)
-//  * voter-coordinated warp insertion, Algorithm 1 (InsertWarp below)
+//  * voter-coordinated warp insertion, Algorithm 1 (RunVoterLoop below)
 //  * Theorem-1 balance-guided placement (ChooseTarget / ChooseVictim)
 //  * single-subtable resizing: conflict-free upsize of the smallest table,
 //    merge-downsize of the largest with residual reinsertion (Section IV-B/D)
@@ -113,13 +113,9 @@ class DynamicTable {
     if (num_failed != nullptr) *num_failed = 0;
     if (keys.empty()) return Status::OK();
     return RunInsertBatch(
-        keys.size(), keys.size(),
-        [&](FailBuffer* fail) {
-          return InsertKernel(keys.data(), values.data(), keys.size(),
-                              /*exclude_table=*/-1, /*check_partner=*/true,
-                              fail);
-        },
-        [&] { return keys; }, num_failed);
+        InsertBatch{.keys = keys.data(), .values = values.data(),
+                    .size = keys.size()},
+        num_failed);
   }
 
   /// Looks up a batch.  `values[i]` receives the value when `found[i] != 0`.
@@ -127,27 +123,17 @@ class DynamicTable {
   void BulkFind(std::span<const Key> keys, Value* values,
                 uint8_t* found) const {
     if (keys.empty()) return;
-    const Key* kp = keys.data();
-    const uint64_t n = keys.size();
-    grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
-      FindWarp(kp, n, warp, values, found);
-    });
+    RunBatch(*this, FindBatch{keys.data(), keys.size(), values, found});
   }
 
   /// Deletes a batch; `num_erased` (optional) receives the number of keys
   /// actually removed.  Triggers downsizing when theta falls below alpha.
   Status BulkErase(std::span<const Key> keys, uint64_t* num_erased = nullptr) {
-    uint64_t erased_total = 0;
+    std::atomic<uint64_t> erased{0};
     if (!keys.empty()) {
-      const Key* kp = keys.data();
-      const uint64_t n = keys.size();
-      std::atomic<uint64_t> erased{0};
-      grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
-        EraseWarp(kp, n, warp, &erased);
-      });
-      erased_total = erased.load(std::memory_order_relaxed);
+      RunBatch(*this, EraseBatch{keys.data(), keys.size(), &erased});
     }
-    if (num_erased != nullptr) *num_erased = erased_total;
+    if (num_erased != nullptr) *num_erased = erased.load(kRelaxed);
     if (options_.auto_resize) DYCUCKOO_RETURN_NOT_OK(ResizeToBounds());
     return Status::OK();
   }
@@ -169,32 +155,8 @@ class DynamicTable {
   /// the same batch).  Results are written back into `ops`.
   Status BulkExecute(std::span<MixedOp> ops) {
     if (ops.empty()) return Status::OK();
-    uint64_t inserts = 0;
-    if (options_.auto_resize) {
-      for (const MixedOp& op : ops) {
-        if (op.type == MixedOp::Type::kInsert) ++inserts;
-      }
-    }
-    return RunInsertBatch(
-        inserts, ops.size(),
-        [&](FailBuffer* fail) {
-          std::atomic<uint64_t> invalid{0};
-          MixedOp* op_data = ops.data();
-          const uint64_t n = ops.size();
-          grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
-            MixedWarp(op_data, n, warp, fail, &invalid);
-          });
-          SweepHandoffLeftovers(fail);
-          return invalid.load(kRelaxed);
-        },
-        [&] {
-          std::vector<Key> batch_keys;
-          for (const MixedOp& op : ops) {
-            if (op.type == MixedOp::Type::kInsert) batch_keys.push_back(op.key);
-          }
-          return batch_keys;
-        },
-        /*num_failed=*/nullptr);
+    return RunInsertBatch(MixedBatch{ops.data(), ops.size()},
+                          /*num_failed=*/nullptr);
   }
 
   // ---------------------------------------------------------------------
@@ -580,20 +542,7 @@ class DynamicTable {
   std::vector<std::pair<Key, Value>> Dump() const {
     std::vector<std::pair<Key, Value>> out;
     out.reserve(size());
-    for (const auto& t : tables_) {
-      for (uint64_t b = 0; b < t.num_buckets(); ++b) {
-        for (int s = 0; s < kSlots; ++s) {
-          Key k = t.KeyAt(b, s);
-          if (k != kEmptyKey) out.emplace_back(k, t.ValueAt(b, s));
-        }
-      }
-    }
-    for (size_t i = 0; i < stash_keys_.size(); ++i) {
-      Key k = stash_keys_[i].load(std::memory_order_relaxed);
-      if (k != kEmptyKey) {
-        out.emplace_back(k, stash_values_[i].load(std::memory_order_relaxed));
-      }
-    }
+    ForEach([&out](Key k, Value v) { out.emplace_back(k, v); });
     return out;
   }
 
@@ -814,9 +763,10 @@ class DynamicTable {
       // misplaced one was a duplicate and the reinsert collapses into an
       // update, removing the duplicate for good.
       FailBuffer fail(evicted_keys.size());
-      InsertKernel(evicted_keys.data(), evicted_values.data(),
-                   evicted_keys.size(), /*exclude_table=*/-1,
-                   /*check_partner=*/true, &fail);
+      RunBatch(*this, InsertBatch{.keys = evicted_keys.data(),
+                                  .values = evicted_values.data(),
+                                  .size = evicted_keys.size()},
+               &fail);
       report.misplaced_repaired = evicted_keys.size() - fail.count();
       for (uint64_t i = 0; i < fail.count(); ++i) {
         ForceStash(fail.keys()[i], fail.values()[i]);
@@ -851,20 +801,8 @@ class DynamicTable {
   /// *before* subtable `table_idx` — i.e. the copy in `table_idx` can never
   /// be returned by a lookup and is safe to collapse.
   bool ShadowedByEarlierCandidate(Key k, int table_idx) const {
-    int candidates[16];
-    int n_cand = CandidateTables(k, candidates);
-    for (int c = 0; c < n_cand; ++c) {
-      if (candidates[c] == table_idx) return false;
-      const SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(k);
-      gpusim::CountBucketRead();
-      Key snap[kSlots];
-      t.SnapshotKeys(loc, snap);
-      for (int s = 0; s < kSlots; ++s) {
-        if (snap[s] == k) return true;
-      }
-    }
-    return false;
+    return WalkCandidates(k, /*skip=*/-1, /*stop=*/table_idx,
+                          [](int, uint64_t, int) { return true; });
   }
 
   /// Re-counts stash occupancy against the stash_size_ counter and repairs
@@ -955,8 +893,8 @@ class DynamicTable {
   /// no kernels in flight.
   void RepairCorruptedPair(Key key, Value value) {
     FailBuffer fail(1);
-    InsertKernel(&key, &value, 1, /*exclude_table=*/-1,
-                 /*check_partner=*/true, &fail);
+    RunBatch(*this, InsertBatch{.keys = &key, .values = &value, .size = 1},
+             &fail);
     for (uint64_t i = 0; i < fail.count(); ++i) {
       ForceStash(fail.keys()[i], fail.values()[i]);
       stats_.recovery_spills.fetch_add(1, kRelaxed);
@@ -978,19 +916,14 @@ class DynamicTable {
   /// when the key is not resident.
   bool CorruptSlotBitForTest(Key key, int region, int bit = 0) {
     if (key == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    for (int c = 0; c < n_cand; ++c) {
-      SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(key);
-      for (int s = 0; s < kSlots; ++s) {
-        if (t.KeyAt(loc, s) != key) continue;
-        t.CorruptBitForTest(loc, s, region, bit);
-        return true;
-      }
+    if (WalkCandidates(key, /*skip=*/-1, /*stop=*/-1,
+                       [&](int t, uint64_t loc, int s) {
+                         tables_[t].CorruptBitForTest(loc, s, region, bit);
+                         return true;
+                       })) {
+      return true;
     }
-    for (size_t i = 0; i < stash_keys_.size(); ++i) {
-      if (stash_keys_[i].load(std::memory_order_relaxed) != key) continue;
+    return ScanStash(key, /*counted=*/false, [&](size_t i) {
       if (region == 0) {
         Key k = stash_keys_[i].load(std::memory_order_relaxed);
         FlipBit(&k, bit);
@@ -1004,8 +937,7 @@ class DynamicTable {
                                  std::memory_order_relaxed);
       }
       return true;
-    }
-    return false;
+    });
   }
 
   /// TEST HOOK: stores (key, value) directly into a bucket *outside* the
@@ -1045,22 +977,14 @@ class DynamicTable {
   bool PlantShadowedDuplicateForTest(Key key, Value stale_value,
                                      bool into_stash = false) {
     if (key == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
     int home = -1;
-    for (int c = 0; c < n_cand && home < 0; ++c) {
-      SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(key);
-      Key snap[kSlots];
-      t.SnapshotKeys(loc, snap);
-      for (int s = 0; s < kSlots; ++s) {
-        if (snap[s] == key) {
-          home = c;
-          break;
-        }
-      }
+    if (!WalkCandidates(key, /*skip=*/-1, /*stop=*/-1,
+                        [&](int t, uint64_t, int) {
+                          home = t;
+                          return true;
+                        })) {
+      return false;
     }
-    if (home < 0) return false;
     if (into_stash) {
       for (size_t i = 0; i < stash_keys_.size(); ++i) {
         if (stash_keys_[i].load(std::memory_order_relaxed) == kEmptyKey) {
@@ -1073,7 +997,12 @@ class DynamicTable {
       }
       return false;
     }
-    for (int c = home + 1; c < n_cand; ++c) {
+    // The candidates FIND reaches only after `home`.
+    int candidates[16];
+    const int n_cand = CandidateTables(key, candidates);
+    const int* after_home = std::find(candidates, candidates + n_cand, home);
+    for (int c = static_cast<int>(after_home - candidates) + 1; c < n_cand;
+         ++c) {
       SubtableT& t = tables_[candidates[c]];
       uint64_t loc = t.BucketIndex(key);
       while (!t.lock(loc).TryLock()) {
@@ -1100,32 +1029,26 @@ class DynamicTable {
   /// parked copy first.
   bool ParkVictimForTest(Key key) {
     if (key == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    for (int c = 0; c < n_cand; ++c) {
-      SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(key);
+    bool parked = false;
+    WalkCandidates(key, /*skip=*/-1, /*stop=*/-1,
+                   [&](int table_idx, uint64_t loc, int s) {
+      SubtableT& t = tables_[table_idx];
       while (!t.lock(loc).TryLock()) {
       }
-      for (int s = 0; s < kSlots; ++s) {
-        if (t.KeyAt(loc, s) != key) continue;
-        int slot = -1;
-        uint64_t word = 0;
-        if (!ring_.Park(key, t.ValueAt(loc, s), &slot, &word)) {
-          t.lock(loc).Unlock();
-          return false;
-        }
+      int slot = -1;
+      uint64_t word = 0;
+      parked = ring_.Park(key, t.ValueAt(loc, s), &slot, &word);
+      if (parked) {
         stats_.parked_victims.fetch_add(1, kRelaxed);
         t.StoreKey(loc, s, kEmptyKey);
-        t.lock(loc).Unlock();
-        // In-flight victims are uncounted (a real swap is count-neutral:
-        // the incoming pair takes the slot this hook leaves empty).
-        t.AddSize(-1);
-        return true;
       }
       t.lock(loc).Unlock();
-    }
-    return false;
+      // In-flight victims are uncounted (a real swap is count-neutral:
+      // the incoming pair takes the slot this hook leaves empty).
+      if (parked) t.AddSize(-1);
+      return true;
+    });
+    return parked;
   }
 
   /// TEST HOOK: runs the post-launch handoff reconciliation (claimed
@@ -1171,15 +1094,13 @@ class DynamicTable {
   class FailBuffer;  // defined below
 
   /// The batch procedure shared by BulkInsert and BulkExecute, in order:
-  /// pre-grow so `inserts` more keys keep theta within beta; `launch`
-  /// (fills a FailBuffer of `capacity`, returns the number of reserved-
-  /// sentinel keys it skipped); upsize and re-insert the failures, at most
+  /// pre-grow so the batch's inserts keep theta within beta; one RunBatch
+  /// launch of `batch`; upsize and re-insert the failures, at most
   /// kMaxInsertRetryRounds times; ResizeToBounds; the sentinel check; then
-  /// AbsorbResidentFailures over `batch_keys()`, whose count of genuine
-  /// failures goes to `num_failed` (if given) and the status.
-  template <typename Launch, typename BatchKeys>
-  Status RunInsertBatch(uint64_t inserts, uint64_t capacity, Launch&& launch,
-                        BatchKeys&& batch_keys, uint64_t* num_failed) {
+  /// AbsorbResidentFailures, whose count of genuine failures goes to
+  /// `num_failed` (if given) and the status.
+  template <typename Batch>
+  Status RunInsertBatch(const Batch& batch, uint64_t* num_failed) {
     // UpsizeInternal fails only with OutOfMemory.  Such a batch degrades
     // instead of aborting: it runs at the current capacity and its per-key
     // failures surface below.
@@ -1189,6 +1110,10 @@ class DynamicTable {
       // this performs exactly the upsizes a reactive check would, without
       // paying for mass insertion failures first.  Failure-triggered
       // upsizing below remains as the backstop the paper describes.
+      uint64_t inserts = 0;
+      for (uint64_t i = 0; i < batch.size; ++i) {
+        if (batch.type(i) == OpType::kInsert) ++inserts;
+      }
       for (int guard = 0; guard < 64; ++guard) {
         uint64_t cap = capacity_slots();
         if (cap == 0) break;
@@ -1203,8 +1128,8 @@ class DynamicTable {
       }
     }
 
-    FailBuffer fail(capacity);
-    const uint64_t invalid = launch(&fail);
+    FailBuffer fail(batch.size);
+    const uint64_t invalid = RunBatch(*this, batch, &fail);
 
     for (int round = 0; round < kMaxInsertRetryRounds && fail.count() > 0 &&
                         options_.auto_resize;
@@ -1215,8 +1140,9 @@ class DynamicTable {
         break;
       }
       FailBuffer next(fail.count());
-      InsertKernel(fail.keys(), fail.values(), fail.count(),
-                   /*exclude_table=*/-1, /*check_partner=*/true, &next);
+      RunBatch(*this, InsertBatch{.keys = fail.keys(), .values = fail.values(),
+                                  .size = fail.count()},
+               &next);
       fail = std::move(next);
     }
 
@@ -1227,7 +1153,7 @@ class DynamicTable {
           "batch contains the reserved empty-key sentinel");
     }
     if (fail.count() == 0) return Status::OK();
-    const uint64_t batch_failed = AbsorbResidentFailures(fail, batch_keys());
+    const uint64_t batch_failed = AbsorbResidentFailures(fail, batch);
     if (num_failed != nullptr) *num_failed = batch_failed;
     if (batch_failed == 0) return Status::OK();
     if (!grow_failure.ok()) {
@@ -1245,11 +1171,13 @@ class DynamicTable {
   /// key stored long before this batch.  Dropping it would silently lose
   /// data the caller never handed us in this call.  Residents are parked in
   /// the stash (lossless; drained back on the next upsize); only keys that
-  /// belong to `batch` are genuine failures the caller must retry.
-  template <typename KeyRange>
-  uint64_t AbsorbResidentFailures(const FailBuffer& fail,
-                                  const KeyRange& batch) {
-    std::unordered_set<Key> batch_keys(batch.begin(), batch.end());
+  /// `batch` inserts are genuine failures the caller must retry.
+  template <typename Batch>
+  uint64_t AbsorbResidentFailures(const FailBuffer& fail, const Batch& batch) {
+    std::unordered_set<Key> batch_keys;
+    for (uint64_t i = 0; i < batch.size; ++i) {
+      if (batch.type(i) == OpType::kInsert) batch_keys.insert(batch.key(i));
+    }
     uint64_t batch_failed = 0;
     for (uint64_t i = 0; i < fail.count(); ++i) {
       if (batch_keys.count(fail.keys()[i]) > 0) {
@@ -1526,18 +1454,143 @@ class DynamicTable {
     std::atomic<uint64_t> cursor_{0};
   };
 
-  /// Launches the voter-coordinated insert grid.  Returns the number of
-  /// reserved-sentinel keys skipped.
-  uint64_t InsertKernel(const Key* keys, const Value* values, uint64_t n,
-                        int exclude_table, bool check_partner,
-                        FailBuffer* fail) {
+  // ---- Batch kernel -----------------------------------------------------
+  //
+  // A batch view says where a launch's ops come from and where their
+  // results go.  It names at compile time the op types it can hold
+  // (kFinds, kErases, kInserts), so WarpBody compiles to exactly the paths
+  // a batch uses, and a FIND-only batch runs on a const table.  Insert
+  // views also carry the placement rule: the subtable chains must avoid
+  // (-1: none) and whether a resident copy is probed for first (upsert).
+
+  using OpType = typename MixedOp::Type;
+
+  /// BulkFind: keys in; `values`/`found` out, either may be null.
+  struct FindBatch {
+    static constexpr bool kFinds = true, kErases = false, kInserts = false;
+    const Key* keys;
+    uint64_t size;
+    Value* values;
+    uint8_t* found;
+    OpType type(uint64_t) const { return OpType::kFind; }
+    Key key(uint64_t i) const { return keys[i]; }
+    void Found(uint64_t i, bool hit, Value v) const {
+      if (found != nullptr) found[i] = hit ? 1 : 0;
+      if (hit && values != nullptr) values[i] = v;
+    }
+  };
+
+  /// BulkErase: keys in; the number of slots released added to `erased`.
+  struct EraseBatch {
+    static constexpr bool kFinds = false, kErases = true, kInserts = false;
+    const Key* keys;
+    uint64_t size;
+    std::atomic<uint64_t>* erased;
+    OpType type(uint64_t) const { return OpType::kErase; }
+    Key key(uint64_t i) const { return keys[i]; }
+    void Erased(uint64_t, uint64_t released) const {
+      if (released > 0) erased->fetch_add(released, kRelaxed);
+    }
+  };
+
+  /// BulkInsert, and every internal re-insertion (retry rounds, stash
+  /// drain, downsize residuals, scrub re-homing): pairs in.
+  struct InsertBatch {
+    static constexpr bool kFinds = false, kErases = false, kInserts = true;
+    const Key* keys;
+    const Value* values;
+    uint64_t size;
+    int exclude_table = -1;
+    bool check_partner = true;
+    OpType type(uint64_t) const { return OpType::kInsert; }
+    Key key(uint64_t i) const { return keys[i]; }
+    Value value(uint64_t i) const { return values[i]; }
+  };
+
+  /// BulkExecute: results written back into the ops.
+  struct MixedBatch {
+    static constexpr bool kFinds = true, kErases = true, kInserts = true;
+    static constexpr int exclude_table = -1;
+    static constexpr bool check_partner = true;
+    MixedOp* ops;
+    uint64_t size;
+    OpType type(uint64_t i) const { return ops[i].type; }
+    Key key(uint64_t i) const { return ops[i].key; }
+    Value value(uint64_t i) const { return ops[i].value; }
+    void Found(uint64_t i, bool hit, Value v) const {
+      ops[i].hit = hit ? 1 : 0;
+      if (hit) ops[i].value = v;
+    }
+    void Erased(uint64_t i, uint64_t released) const {
+      ops[i].hit = released > 0 ? 1 : 0;
+    }
+  };
+
+  /// The one batch launch: a grid of warps, each running WarpBody over its
+  /// 32 ops of `batch`.  A launch that can insert ends with the handoff
+  /// sweep into `fail`.  Returns the number of reserved-sentinel insert
+  /// keys skipped.  Static, with the table passed as `self`, so that
+  /// BulkFind stays const.
+  template <typename Self, typename Batch>
+  static uint64_t RunBatch(Self& self, const Batch& batch,
+                           FailBuffer* fail = nullptr) {
     std::atomic<uint64_t> invalid{0};
-    grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
-      InsertWarp(keys, values, n, warp, exclude_table, check_partner, fail,
-                 &invalid);
-    });
-    SweepHandoffLeftovers(fail);
-    return invalid.load(std::memory_order_relaxed);
+    self.grid_->LaunchWarps(
+        gpusim::WarpsForItems(batch.size),
+        [&](uint64_t warp) { WarpBody(self, batch, warp, fail, &invalid); });
+    if constexpr (Batch::kInserts) self.SweepHandoffLeftovers(fail);
+    return invalid.load(kRelaxed);
+  }
+
+  /// The one warp body.  The warp owns 32 consecutive ops and walks them
+  /// in order: a find or erase runs at once as one probe over the key's
+  /// candidate buckets (paper Section V-A); an insert is prepared into its
+  /// lane.  The prepared lanes then drain through the voter loop
+  /// (Algorithm 1), and the warp's tally is flushed once.
+  template <typename Self, typename Batch>
+  static void WarpBody(Self& self, const Batch& batch, uint64_t warp,
+                       FailBuffer* fail, std::atomic<uint64_t>* invalid) {
+    [[maybe_unused]] LaneOp lanes[gpusim::kWarpSize];
+    TableStats::Snapshot tally;
+    uint64_t local_invalid = 0;
+    const uint64_t base = warp * gpusim::kWarpSize;
+    const uint64_t end = std::min(batch.size, base + gpusim::kWarpSize);
+    for (uint64_t idx = base; idx < end; ++idx) {
+      const Key key = batch.key(idx);
+      const OpType type = batch.type(idx);
+      if constexpr (Batch::kFinds) {
+        if (type == OpType::kFind) {
+          ++tally.finds;
+          Value v{};
+          const bool hit = self.FindOneInternal(key, &v);
+          if (hit) ++tally.find_hits;
+          batch.Found(idx, hit, v);
+        }
+      }
+      if constexpr (Batch::kErases) {
+        if (type == OpType::kErase) {
+          ++tally.erases;
+          const uint64_t released = self.EraseOneInternal(key);
+          tally.erase_hits += released;
+          batch.Erased(idx, released);
+        }
+      }
+      if constexpr (Batch::kInserts) {
+        if (type == OpType::kInsert && key == kEmptyKey) {
+          ++local_invalid;
+        } else if (type == OpType::kInsert) {
+          self.PrepareInsertLane(key, batch.value(idx), batch.exclude_table,
+                                 batch.check_partner, &lanes[idx - base],
+                                 &tally.inserts_updated);
+        }
+      }
+    }
+    if constexpr (Batch::kInserts) {
+      self.RunVoterLoop(lanes, batch.exclude_table, batch.check_partner, fail,
+                        &tally);
+    }
+    self.stats_.Add(tally);
+    if (local_invalid) invalid->fetch_add(local_invalid, kRelaxed);
   }
 
   /// Host-side reconciliation after every insert-capable launch.  A pair
@@ -1586,33 +1639,6 @@ class DynamicTable {
     uint64_t prep_epoch = 0;
   };
 
-  /// One warp's share of the insert batch: 32 ops, one per lane, processed
-  /// with the paper's voter coordination (Algorithm 1).
-  void InsertWarp(const Key* keys, const Value* values, uint64_t n,
-                  uint64_t warp, int exclude_table, bool check_partner,
-                  FailBuffer* fail, std::atomic<uint64_t>* invalid) {
-    LaneOp ops[gpusim::kWarpSize];
-    TableStats::Snapshot tally;
-    uint64_t local_invalid = 0;
-
-    const uint64_t base = warp * gpusim::kWarpSize;
-    for (int lane = 0; lane < gpusim::kWarpSize; ++lane) {
-      uint64_t idx = base + lane;
-      if (idx >= n) continue;
-      if (keys[idx] == kEmptyKey) {
-        ++local_invalid;
-        continue;
-      }
-      PrepareInsertLane(keys[idx], values[idx], exclude_table, check_partner,
-                        &ops[lane], &tally.inserts_updated);
-    }
-
-    RunVoterLoop(ops, exclude_table, check_partner, fail, &tally);
-
-    stats_.Add(tally);
-    if (local_invalid) invalid->fetch_add(local_invalid, kRelaxed);
-  }
-
   /// Prepares one lane's insert: layer-1 pair, balance-weighted target, and
   /// (optionally) the upsert probe of the other candidate bucket(s) so a
   /// key never ends up stored twice (see DESIGN.md deviation note).
@@ -1625,46 +1651,9 @@ class DynamicTable {
     op->target = ChooseTarget(key, op->pair, exclude_table);
     op->active = true;
     op->prep_epoch = ring_.epoch();
-    if (!check_partner) return;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    for (int c = 0; c < n_cand && op->active; ++c) {
-      if (candidates[c] == op->target) continue;
-      SubtableT& pt = tables_[candidates[c]];
-      uint64_t loc = pt.BucketIndex(key);
-      gpusim::CountBucketRead();
-      Key snap[kSlots];
-      pt.SnapshotKeys(loc, snap);
-      for (int s = 0; s < kSlots; ++s) {
-        if (snap[s] == key) {
-          // Unlocked upsert: concurrent upserts of the same key are
-          // last-writer-wins; TryUpsertSlotValue's CAS protocol keeps the
-          // write out of a slot an eviction chain recycled between the
-          // snapshot and the store.
-          if (!TryUpsertSlotValue(pt, loc, s, key, value)) continue;
-          op->active = false;
-          ++*updated;
-          break;
-        }
-      }
-    }
-    if (op->active && ring_.count() > 0 &&
-        ring_.UpdateValue(key, value)) {
-      // The key is mid-displacement in another chain; updating its parked
-      // copy is an upsert (the owning chain re-reads the parked value when
-      // it re-homes the victim).
+    if (check_partner && UpsertResident(key, value, op->target)) {
       op->active = false;
       ++*updated;
-    }
-    if (op->active && stash_size_.load(std::memory_order_acquire) > 0) {
-      for (size_t i = 0; i < stash_keys_.size(); ++i) {
-        if (gpusim::LoadAcquire(&stash_keys_[i]) == key) {
-          StashStoreValue(i, value);
-          op->active = false;
-          ++*updated;
-          break;
-        }
-      }
     }
   }
 
@@ -1753,9 +1742,11 @@ class DynamicTable {
         // may have relocated the key in the meantime.  The relocated copy
         // is re-placed (another candidate bucket or the stash) or still in
         // flight — and an in-flight pair is always visible in the handoff
-        // ring between voter iterations — so UpdateIfPresentElsewhere
-        // finds it wherever it lives instead of us storing a duplicate.
-        if (UpdateIfPresentElsewhere(op.key, op.value, op.target)) {
+        // ring between voter iterations — so an epoch-retried
+        // UpsertResident finds it wherever it lives instead of us storing
+        // a duplicate.
+        if (RetryWhileDisplaced(
+                [&] { return UpsertResident(op.key, op.value, op.target); })) {
           table.lock(loc).Unlock();
           op.active = false;
           active &= ~(gpusim::LaneMask{1} << leader);
@@ -1993,156 +1984,86 @@ class DynamicTable {
     }
   }
 
-  /// Probes the key's candidate buckets other than `skip_table`, then the
-  /// stash, updating the value in place on a hit.  Used by the voter loop
-  /// to close the window between a lane's prepare-phase upsert probe and
-  /// its placement, during which an eviction chain may have relocated the
-  /// key.
-  bool UpdateIfPresentElsewhere(Key key, Value value, int skip_table) {
+  // ---- Probes (paper Section V-A) ---------------------------------------
+  //
+  // Every lookup-shaped path is built from three primitives: the walk over
+  // a key's candidate buckets, the stash key scan, and the epoch-retry
+  // wrapper that makes a lock-free miss trustworthy.
+
+  /// The candidate-bucket walk: `k`'s candidate buckets in probe order
+  /// (CandidateTables), skipping subtable `skip` and ending before
+  /// subtable `stop` (-1: neither).  Each bucket visited costs one bucket
+  /// read.  `on_match(table_idx, loc, slot)` runs for every slot whose key
+  /// snapshot holds `k`; returning true ends the walk, which returns true.
+  template <typename OnMatch>
+  bool WalkCandidates(Key k, int skip, int stop, OnMatch&& on_match) const {
     int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    // Epoch-retry contract (see FindOneInternal): "absent elsewhere" is
-    // only trustworthy when no displacement overlapped the probe.  A copy
-    // in flight through another chain is updated in place in the handoff
-    // ring; the owning chain re-reads the parked value at retire time, so
-    // the update survives the re-homing.
-    for (int attempt = 0; attempt < kMaxProbeRetries; ++attempt) {
-      const uint64_t epoch = ring_.epoch();
-      for (int c = 0; c < n_cand; ++c) {
-        if (candidates[c] == skip_table) continue;
-        SubtableT& t = tables_[candidates[c]];
-        uint64_t loc = t.BucketIndex(key);
-        gpusim::CountBucketRead();
-        Key snap[kSlots];
-        t.SnapshotKeys(loc, snap);
-        for (int s = 0; s < kSlots; ++s) {
-          if (snap[s] != key) continue;
-          if (TryUpsertSlotValue(t, loc, s, key, value)) return true;
-        }
+    const int n_cand = CandidateTables(k, candidates);
+    for (int c = 0; c < n_cand && candidates[c] != stop; ++c) {
+      if (candidates[c] == skip) continue;
+      const SubtableT& t = tables_[candidates[c]];
+      const uint64_t loc = t.BucketIndex(k);
+      gpusim::CountBucketRead();
+      Key snap[kSlots];
+      t.SnapshotKeys(loc, snap);
+      for (int s = 0; s < kSlots; ++s) {
+        if (snap[s] == k && on_match(candidates[c], loc, s)) return true;
       }
-      if (ring_.count() > 0 && ring_.UpdateValue(key, value)) return true;
-      if (stash_size_.load(std::memory_order_acquire) > 0) {
-        for (size_t i = 0; i < stash_keys_.size(); ++i) {
-          if (gpusim::LoadAcquire(&stash_keys_[i]) == key) {
-            StashStoreValue(i, value);
-            return true;
-          }
-        }
-      }
-      if (ring_.epoch() == epoch) return false;
     }
     return false;
   }
 
-  /// One warp's share of a mixed batch: finds and erases execute directly
-  /// lane-by-lane; inserts are prepared per lane and drained through the
-  /// voter loop.
-  void MixedWarp(MixedOp* ops, uint64_t n, uint64_t warp, FailBuffer* fail,
-                 std::atomic<uint64_t>* invalid) {
-    LaneOp lane_ops[gpusim::kWarpSize];
-    TableStats::Snapshot tally;
-    uint64_t local_invalid = 0;
-
-    const uint64_t base = warp * gpusim::kWarpSize;
-    for (int lane = 0; lane < gpusim::kWarpSize; ++lane) {
-      uint64_t idx = base + lane;
-      if (idx >= n) continue;
-      MixedOp& op = ops[idx];
-      switch (op.type) {
-        case MixedOp::Type::kFind: {
-          ++tally.finds;
-          Value v{};
-          op.hit = FindOneInternal(op.key, &v) ? 1 : 0;
-          if (op.hit) {
-            op.value = v;
-            ++tally.find_hits;
-          }
-          break;
-        }
-        case MixedOp::Type::kErase: {
-          ++tally.erases;
-          uint64_t released = EraseOneInternal(op.key);
-          op.hit = released > 0 ? 1 : 0;
-          tally.erase_hits += released;
-          break;
-        }
-        case MixedOp::Type::kInsert: {
-          if (op.key == kEmptyKey) {
-            ++local_invalid;
-            break;
-          }
-          PrepareInsertLane(op.key, op.value, /*exclude_table=*/-1,
-                            /*check_partner=*/true, &lane_ops[lane],
-                            &tally.inserts_updated);
-          break;
-        }
+  /// The stash key scan: unless the stash is empty, offers every stash
+  /// slot holding `k` to `on_match(i)` until it returns true, and returns
+  /// whether one did.  The scan costs one bucket read when `counted`
+  /// (FIND and DELETE; the upsert probes scan it uncounted).
+  template <typename OnMatch>
+  bool ScanStash(Key k, bool counted, OnMatch&& on_match) const {
+    if (stash_size_.load(std::memory_order_acquire) == 0) return false;
+    if (counted) gpusim::CountBucketRead();
+    for (size_t i = 0; i < stash_keys_.size(); ++i) {
+      if (gpusim::LoadAcquire(&stash_keys_[i]) == k && on_match(i)) {
+        return true;
       }
     }
-
-    RunVoterLoop(lane_ops, /*exclude_table=*/-1, /*check_partner=*/true, fail,
-                 &tally);
-
-    stats_.Add(tally);
-    if (local_invalid) invalid->fetch_add(local_invalid, kRelaxed);
+    return false;
   }
 
-  // ---- Find / erase kernels --------------------------------------------
-
-  /// One warp's chunk of the find batch: the warp walks its 32 ops
-  /// sequentially; for each op the lanes scan the (at most two) buckets of
-  /// the key's pair in parallel.
-  void FindWarp(const Key* keys, uint64_t n, uint64_t warp, Value* values,
-                uint8_t* found) const {
-    const uint64_t base = warp * gpusim::kWarpSize;
-    const uint64_t end = std::min(n, base + gpusim::kWarpSize);
-    uint64_t local_finds = 0, local_hits = 0;
-    for (uint64_t idx = base; idx < end; ++idx) {
-      Key k = keys[idx];
-      ++local_finds;
-      Value v{};
-      bool hit = FindOneInternal(k, &v);
-      if (found != nullptr) found[idx] = hit ? 1 : 0;
-      if (hit) {
-        ++local_hits;
-        if (values != nullptr) values[idx] = v;
-      }
-    }
-    stats_.finds.fetch_add(local_finds, kRelaxed);
-    if (local_hits) stats_.find_hits.fetch_add(local_hits, kRelaxed);
-  }
-
-  /// One lookup over the key's candidate buckets (≤2 in two-layer mode),
-  /// then the displaced-victim handoff ring, then the stash.
-  ///
-  /// Linearizable against concurrent eviction chains: a chain parks its
-  /// victim in the ring *before* overwriting the slot and retires it only
-  /// *after* the re-homed copy is published, and both transitions bump the
-  /// displacement epoch first.  So if this probe misses everywhere and the
-  /// epoch did not change across the whole probe, the key was genuinely
-  /// absent at the instant the probe started; otherwise a displacement
-  /// overlapped the probe and it retries.  Bucket hits re-validate the key
-  /// after reading the value (the overwrite unpublishes the old key before
-  /// writing the incoming pair), ruling out torn (key, value) results.
-  bool FindOneInternal(Key k, Value* v) const {
-    if (k == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(k, candidates);
+  /// The epoch-retry wrapper: runs `probe` until it reports a hit, or
+  /// until it misses while the displacement epoch stood still.  A chain
+  /// parks its victim in the handoff ring *before* overwriting the slot
+  /// and retires it only *after* the re-homed copy is published, bumping
+  /// the epoch at both steps; so a miss with no epoch change proves the
+  /// key was absent when the probe started.  Returns whether it hit.
+  template <typename Probe>
+  bool RetryWhileDisplaced(Probe&& probe) const {
     for (int attempt = 0; attempt < kMaxProbeRetries; ++attempt) {
       const uint64_t epoch = ring_.epoch();
-      for (int c = 0; c < n_cand; ++c) {
-        const SubtableT& t = tables_[candidates[c]];
-        uint64_t loc = t.BucketIndex(k);
-        gpusim::CountBucketRead();
-        Key snap[kSlots];
-        t.SnapshotKeys(loc, snap);
-        for (int s = 0; s < kSlots; ++s) {
-          if (snap[s] != k) continue;
-          Value val = t.ValueAt(loc, s);
-          if (t.KeyAtAcquire(loc, s) == k) {
-            *v = val;
-            return true;
-          }
-        }
+      if (probe()) return true;
+      if (ring_.epoch() == epoch) return false;
+    }
+    return false;  // unreachable absent a bug (see kMaxProbeRetries)
+  }
+
+  /// One lookup over the key's candidate buckets (<= 2 in two-layer
+  /// mode), then the displaced-victim handoff ring, then the stash,
+  /// linearizable against eviction chains through RetryWhileDisplaced.
+  /// Hits re-validate the key after reading the value (an overwrite
+  /// unpublishes the old key before writing the incoming pair), ruling
+  /// out torn (key, value) results.
+  bool FindOneInternal(Key k, Value* v) const {
+    if (k == kEmptyKey) return false;
+    return RetryWhileDisplaced([&] {
+      if (WalkCandidates(k, /*skip=*/-1, /*stop=*/-1,
+                         [&](int t, uint64_t loc, int s) {
+                           const Value val = tables_[t].ValueAt(loc, s);
+                           if (tables_[t].KeyAtAcquire(loc, s) != k) {
+                             return false;
+                           }
+                           *v = val;
+                           return true;
+                         })) {
+        return true;
       }
       if (ring_.count() > 0) {
         gpusim::CountBucketRead();
@@ -2151,20 +2072,69 @@ class DynamicTable {
           return true;
         }
       }
-      if (stash_size_.load(std::memory_order_acquire) > 0) {
-        gpusim::CountBucketRead();
-        for (size_t i = 0; i < stash_keys_.size(); ++i) {
-          if (gpusim::LoadAcquire(&stash_keys_[i]) != k) continue;
-          Value val = gpusim::Load(&stash_values_[i]);
-          if (gpusim::Load(&stash_keys_[i]) == k) {
-            *v = val;
-            return true;
-          }
-        }
+      return ScanStash(k, /*counted=*/true, [&](size_t i) {
+        const Value val = gpusim::Load(&stash_values_[i]);
+        if (gpusim::Load(&stash_keys_[i]) != k) return false;
+        *v = val;
+        return true;
+      });
+    });
+  }
+
+  /// One delete over the key's candidate buckets and the stash; returns
+  /// slots released (more than one only if a racy duplicate existed).
+  /// Lock-free: slots are released with a key CAS, so exactly one racing
+  /// eraser wins each decrement.  A key in flight through an eviction
+  /// chain is claimed from the handoff ring instead; the claim linearizes
+  /// the delete and the owning chain undoes its placement at retire time.
+  /// `except_table` shields one subtable from the delete (downsize
+  /// rollback: the old subtable keeps its copy while duplicates elsewhere
+  /// are removed).
+  uint64_t EraseOneInternal(Key k, int except_table = -1) {
+    if (k == kEmptyKey) return 0;
+    uint64_t released = 0;
+    RetryWhileDisplaced([&] {
+      WalkCandidates(k, except_table, /*stop=*/-1,
+                     [&](int t, uint64_t loc, int s) {
+                       if (tables_[t].CasKey(loc, s, k, kEmptyKey)) {
+                         tables_[t].AddSize(-1);
+                         ++released;
+                       }
+                       return false;
+                     });
+      ScanStash(k, /*counted=*/true, [&](size_t i) {
+        if (StashRemoveAt(i, k)) ++released;
+        return false;
+      });
+      if (released == 0 && ring_.count() > 0 && ring_.TryClaimForDelete(k)) {
+        stats_.handoff_deletes.fetch_add(1, kRelaxed);
+        ++released;
       }
-      if (ring_.epoch() == epoch) return false;
+      return released > 0;
+    });
+    return released;
+  }
+
+  /// One upsert probe: the key's candidate buckets other than
+  /// `skip_table`, then the handoff ring, then the stash.  The first
+  /// resident copy found takes `value` in place; returns whether one did.
+  /// Bucket copies are updated unlocked (TryUpsertSlotValue's CAS keeps
+  /// the write out of a slot an eviction chain recycled).  A copy in
+  /// flight through another chain is updated in the ring, and the owning
+  /// chain re-reads the parked value when it re-homes the victim.
+  bool UpsertResident(Key key, Value value, int skip_table) {
+    if (WalkCandidates(key, skip_table, /*stop=*/-1,
+                       [&](int t, uint64_t loc, int s) {
+                         return TryUpsertSlotValue(tables_[t], loc, s, key,
+                                                   value);
+                       })) {
+      return true;
     }
-    return false;  // unreachable absent a bug (see kMaxProbeRetries)
+    if (ring_.count() > 0 && ring_.UpdateValue(key, value)) return true;
+    return ScanStash(key, /*counted=*/false, [&](size_t i) {
+      StashStoreValue(i, value);
+      return true;
+    });
   }
 
   /// XORs one bit of a trivially-copyable word (test corruption planting).
@@ -2323,81 +2293,14 @@ class DynamicTable {
     }
     if (keys.empty()) return;
     FailBuffer fail(keys.size());
-    InsertKernel(keys.data(), values.data(), keys.size(),
-                 /*exclude_table=*/-1, /*check_partner=*/false, &fail);
+    RunBatch(*this,
+             InsertBatch{.keys = keys.data(), .values = values.data(),
+                         .size = keys.size(), .check_partner = false},
+             &fail);
     stats_.stash_drains.fetch_add(keys.size() - fail.count(), kRelaxed);
     for (uint64_t i = 0; i < fail.count(); ++i) {
       DYCUCKOO_CHECK(StashInsert(fail.keys()[i], fail.values()[i]));
     }
-  }
-
-  /// One warp's chunk of the erase batch.  Lock-free: slots are released
-  /// with a key CAS, so exactly one racing eraser wins the decrement.
-  void EraseWarp(const Key* keys, uint64_t n, uint64_t warp,
-                 std::atomic<uint64_t>* erased) {
-    const uint64_t base = warp * gpusim::kWarpSize;
-    const uint64_t end = std::min(n, base + gpusim::kWarpSize);
-    uint64_t local_erases = 0, local_hits = 0;
-    for (uint64_t idx = base; idx < end; ++idx) {
-      Key k = keys[idx];
-      ++local_erases;
-      uint64_t n_erased = EraseOneInternal(k);
-      if (n_erased > 0) {
-        local_hits += n_erased;
-        erased->fetch_add(n_erased, kRelaxed);
-      }
-    }
-    stats_.erases.fetch_add(local_erases, kRelaxed);
-    if (local_hits) stats_.erase_hits.fetch_add(local_hits, kRelaxed);
-  }
-
-  /// One delete over the key's candidate buckets; returns slots released
-  /// (more than one only if a racy duplicate existed).  `except_table`
-  /// shields one subtable from the delete (downsize rollback: the old
-  /// subtable keeps its copy while duplicates elsewhere are removed).
-  uint64_t EraseOneInternal(Key k, int except_table = -1) {
-    if (k == kEmptyKey) return 0;
-    uint64_t released = 0;
-    int candidates[16];
-    int n_cand = CandidateTables(k, candidates);
-    // Same epoch-retry contract as FindOneInternal: a miss is only final
-    // when no displacement overlapped the probe.  A key in flight through
-    // an eviction chain is claimed from the handoff ring instead — the
-    // claim linearizes the delete and the owning chain undoes its
-    // placement when it discovers the claim at retire time.
-    for (int attempt = 0; attempt < kMaxProbeRetries; ++attempt) {
-      const uint64_t epoch = ring_.epoch();
-      for (int c = 0; c < n_cand; ++c) {
-        if (candidates[c] == except_table) continue;
-        SubtableT& t = tables_[candidates[c]];
-        uint64_t loc = t.BucketIndex(k);
-        gpusim::CountBucketRead();
-        Key snap[kSlots];
-        t.SnapshotKeys(loc, snap);
-        for (int s = 0; s < kSlots; ++s) {
-          if (snap[s] == k) {
-            if (t.CasKey(loc, s, k, kEmptyKey)) {
-              t.AddSize(-1);
-              ++released;
-            }
-          }
-        }
-      }
-      if (stash_size_.load(std::memory_order_acquire) > 0) {
-        gpusim::CountBucketRead();
-        for (size_t i = 0; i < stash_keys_.size(); ++i) {
-          if (gpusim::Load(&stash_keys_[i]) == k && StashRemoveAt(i, k)) {
-            ++released;
-          }
-        }
-      }
-      if (released == 0 && ring_.count() > 0 && ring_.TryClaimForDelete(k)) {
-        stats_.handoff_deletes.fetch_add(1, kRelaxed);
-        ++released;
-      }
-      if (released > 0 || ring_.epoch() == epoch) break;
-    }
-    return released;
   }
 
   // ---- Resizing ---------------------------------------------------------
@@ -2526,7 +2429,7 @@ class DynamicTable {
           merged_k[count] = snap_k[s];
           merged_v[count] = snap_v[s];
           // Verbatim tag carry: see StoreSlotFresh.  (Residuals that spill
-          // to other subtables below re-publish through InsertKernel and
+          // to other subtables below re-publish through RunBatch and
           // get freshly sealed tags — the one resize path that can launder
           // a not-yet-scrubbed fault; docs/robustness.md records it.)
           merged_t[count] = old.TagAt(src, s);
@@ -2556,8 +2459,13 @@ class DynamicTable {
     // no partner check, and chains never enter subtable idx.
     FailBuffer fail(residuals > 0 ? residuals : 1);
     if (residuals > 0) {
-      InsertKernel(residual_keys.data(), residual_values.data(), residuals,
-                   /*exclude_table=*/idx, /*check_partner=*/false, &fail);
+      RunBatch(*this,
+               InsertBatch{.keys = residual_keys.data(),
+                           .values = residual_values.data(),
+                           .size = residuals,
+                           .exclude_table = idx,
+                           .check_partner = false},
+               &fail);
     }
     const uint64_t leftover = fail.count();
     if (leftover > kMaxDownsizeSpill) {
@@ -2610,9 +2518,13 @@ class DynamicTable {
     }
     if (displaced_keys.empty()) return;
     FailBuffer still_failed(displaced_keys.size());
-    InsertKernel(displaced_keys.data(), displaced_values.data(),
-                 displaced_keys.size(), /*exclude_table=*/idx,
-                 /*check_partner=*/false, &still_failed);
+    RunBatch(*this,
+             InsertBatch{.keys = displaced_keys.data(),
+                         .values = displaced_values.data(),
+                         .size = displaced_keys.size(),
+                         .exclude_table = idx,
+                         .check_partner = false},
+             &still_failed);
     for (uint64_t i = 0; i < still_failed.count(); ++i) {
       ForceStash(still_failed.keys()[i], still_failed.values()[i]);
     }

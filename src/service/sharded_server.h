@@ -78,7 +78,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -1001,27 +1000,19 @@ class ShardedTableServer {
 
   void AttemptHeal(uint32_t s, uint64_t now) {
     ShardSlot& slot = shards_[s];
-    // The crash-time images: from the dead incarnation's manager, or the
-    // cold images a failed AdoptRecovered left behind.
-    std::string ckpt_image, wal_image;
-    if (slot.manager != nullptr) {
-      ckpt_image = slot.manager->checkpoints().durable_image();
-      wal_image = slot.manager->wal().durable_image();
-    } else {
-      ckpt_image = slot.cold.checkpoint;
-      wal_image = slot.cold.wal;
-    }
-
+    // The crash-time images, read in place: from the dead incarnation's
+    // manager, or the cold images a failed AdoptRecovered left behind.
+    const bool live = slot.manager != nullptr;
     durability::RecoverySource source;
     source.shard_id = s;
     source.segment = slot.segment;
-    std::istringstream ckpt_stream(ckpt_image);
-    std::istringstream wal_stream(wal_image);
     std::unique_ptr<Table> table;
     durability::RecoveryReport report;
     Status st = durability::Recover<Key, Value>(
-        ckpt_stream, wal_stream, slot.table_options, &table, &report,
-        source);
+        live ? slot.manager->checkpoints().durable_image()
+             : slot.cold.checkpoint,
+        live ? slot.manager->wal().durable_image() : slot.cold.wal,
+        slot.table_options, &table, &report, source);
     slot.last_heal_report = report;
     if (!st.ok()) {
       DYCUCKOO_LOG(Warning) << "shard " << s << " heal: recovery failed: "

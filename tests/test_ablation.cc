@@ -2,6 +2,7 @@
 // unbalanced placement) and the mixed-operation batch API.
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,6 +46,10 @@ void RoundTrip(DyCuckooMap* t, uint64_t n, uint64_t seed) {
 
 class PlainModeTest : public ::testing::TestWithParam<int> {};
 
+class PlainModeProbeTest
+    : public ::testing::TestWithParam<std::tuple<int, testing::EntryPoint>> {
+};
+
 TEST_P(PlainModeTest, PlainCuckooRoundTripAcrossD) {
   DyCuckooOptions o;
   o.num_subtables = GetParam();
@@ -53,10 +58,10 @@ TEST_P(PlainModeTest, PlainCuckooRoundTripAcrossD) {
   RoundTrip(t.get(), 20000, GetParam());
 }
 
-TEST_P(PlainModeTest, PlainModeMissesCostDProbes) {
+TEST_P(PlainModeProbeTest, PlainModeMissesCostDProbes) {
   // The motivation for the two-layer scheme: a plain d-table cuckoo pays d
-  // bucket reads per unsuccessful lookup.
-  const int d = GetParam();
+  // bucket reads per unsuccessful lookup, through either entry point.
+  const auto [d, via] = GetParam();
   DyCuckooOptions o;
   o.num_subtables = d;
   o.enable_two_layer = false;
@@ -67,14 +72,19 @@ TEST_P(PlainModeTest, PlainModeMissesCostDProbes) {
 
   auto misses = UniqueKeys(3000, 97);
   std::erase(misses, 1u);
+  std::vector<uint8_t> found;
   auto before = gpusim::SimCounters::Get().Capture();
-  std::vector<uint8_t> found(misses.size());
-  t->BulkFind(misses, nullptr, found.data());
+  ASSERT_TRUE(testing::FindVia(via, t.get(), misses, &found).ok());
   auto delta = gpusim::SimCounters::Get().Capture() - before;
   EXPECT_EQ(delta.bucket_reads, static_cast<uint64_t>(d) * misses.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, PlainModeTest, ::testing::Values(2, 3, 4, 6));
+INSTANTIATE_TEST_SUITE_P(
+    Dims, PlainModeProbeTest,
+    ::testing::Combine(::testing::Values(2, 3, 4, 6),
+                       ::testing::Values(testing::EntryPoint::kBulkOp,
+                                         testing::EntryPoint::kBulkExecute)));
 
 TEST(PlainModeTest, ResizeStillWorks) {
   DyCuckooOptions o;

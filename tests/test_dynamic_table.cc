@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dycuckoo/dycuckoo.h"
 #include "gpusim/device_arena.h"
+#include "gpusim/grid.h"
+#include "gpusim/sim_counters.h"
 #include "test_util.h"
 
 namespace dycuckoo {
@@ -290,6 +294,99 @@ TEST(DynamicTableTest, StatsAccounting) {
   EXPECT_EQ(s.erases, keys.size());
   EXPECT_EQ(s.erase_hits, keys.size());
   EXPECT_EQ(s.insert_failures, 0u);
+}
+
+// BulkInsert/BulkFind/BulkErase and BulkExecute launch the same warp body.
+// One seeded op stream, driven through each entry point with one op type
+// per batch, must give the same answers, the same TableStats delta and the
+// same SimCounters delta.  Theta stays inside [alpha, beta] throughout, so
+// the ResizeToBounds that closes every BulkExecute has nothing to do.
+TEST(DynamicTableTest, SingleTypeBatchesMatchOneTypeBulkExecute) {
+  using Type = DyCuckooMap::MixedOp::Type;
+  struct Batch {
+    Type type;
+    std::vector<uint32_t> keys;
+    std::vector<uint32_t> values;
+  };
+  // The first kResident pool keys are stored before the stream starts, so
+  // each batch mixes resident and absent keys.
+  constexpr size_t kResident = 30000;
+  const auto pool = UniqueKeys(40000, 71);
+  SplitMix64 rng(72);
+  auto sample = [&](size_t n) {
+    std::unordered_set<uint32_t> picked;
+    std::vector<uint32_t> keys;
+    while (keys.size() < n) {
+      const uint32_t k = pool[rng.Next() % pool.size()];
+      if (picked.insert(k).second) keys.push_back(k);
+    }
+    return keys;
+  };
+  std::vector<Batch> batches;
+  for (int round = 0; round < 4; ++round) {
+    Batch insert{Type::kInsert, sample(1500), {}};
+    for (size_t i = 0; i < insert.keys.size(); ++i) {
+      insert.values.push_back(static_cast<uint32_t>(rng.Next()));
+    }
+    batches.push_back(std::move(insert));
+    batches.push_back({Type::kFind, sample(3000), {}});
+    batches.push_back({Type::kErase, sample(1500), {}});
+  }
+
+  struct Run {
+    std::vector<std::vector<uint8_t>> found;
+    std::vector<std::vector<uint32_t>> values;
+    std::vector<uint64_t> erased;
+    std::string stats_before, stats_after, sim_delta;
+    std::vector<std::pair<uint32_t, uint32_t>> contents;
+  };
+  auto run = [&](testing::EntryPoint via) {
+    gpusim::Grid grid(1);
+    DyCuckooOptions o;
+    o.grid = &grid;
+    o.initial_capacity = 1 << 16;
+    auto t = MakeTable(o);
+    const std::vector<uint32_t> resident(pool.begin(),
+                                         pool.begin() + kResident);
+    EXPECT_TRUE(
+        t->BulkInsert(resident, SequentialValues(resident.size())).ok());
+    Run r;
+    r.stats_before = t->stats().Capture().ToString();
+    const auto before = gpusim::SimCounters::Get().Capture();
+    for (const Batch& b : batches) {
+      if (b.type == Type::kInsert) {
+        EXPECT_TRUE(testing::InsertVia(via, t.get(), b.keys, b.values).ok());
+      } else if (b.type == Type::kFind) {
+        r.found.emplace_back();
+        r.values.emplace_back();
+        EXPECT_TRUE(testing::FindVia(via, t.get(), b.keys, &r.found.back(),
+                                     &r.values.back())
+                        .ok());
+      } else {
+        r.erased.push_back(0);
+        EXPECT_TRUE(
+            testing::EraseVia(via, t.get(), b.keys, &r.erased.back()).ok());
+      }
+      EXPECT_GE(t->filled_factor(), o.lower_bound);
+      EXPECT_LE(t->filled_factor(), o.upper_bound);
+    }
+    r.sim_delta = (gpusim::SimCounters::Get().Capture() - before).ToString();
+    r.stats_after = t->stats().Capture().ToString();
+    r.contents = t->Dump();
+    std::sort(r.contents.begin(), r.contents.end());
+    EXPECT_TRUE(t->Validate().ok());
+    return r;
+  };
+
+  const Run single = run(testing::EntryPoint::kBulkOp);
+  const Run execute = run(testing::EntryPoint::kBulkExecute);
+  EXPECT_EQ(single.found, execute.found);
+  EXPECT_EQ(single.values, execute.values);
+  EXPECT_EQ(single.erased, execute.erased);
+  EXPECT_EQ(single.stats_before, execute.stats_before);
+  EXPECT_EQ(single.stats_after, execute.stats_after);
+  EXPECT_EQ(single.sim_delta, execute.sim_delta);
+  EXPECT_EQ(single.contents, execute.contents);
 }
 
 TEST(DynamicTableTest, StaticModeReportsFailuresInsteadOfGrowing) {

@@ -1,8 +1,11 @@
 // Tests for the two-layer scheme's headline guarantee (paper Section V-A):
 // FIND and DELETE touch at most two buckets regardless of the number of
-// subtables, and the layer-1 assignment is stable across resizes.
+// subtables, and the layer-1 assignment is stable across resizes.  The
+// bound is checked through both entry points of the batch kernel: the
+// single-type Bulk* call and a one-type BulkExecute.
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,13 +18,17 @@
 namespace dycuckoo {
 namespace {
 
+using testing::EntryPoint;
+using testing::EraseVia;
+using testing::FindVia;
 using testing::SequentialValues;
 using testing::UniqueKeys;
 
-class TwoLayerProbeTest : public ::testing::TestWithParam<int> {};
+class TwoLayerProbeTest
+    : public ::testing::TestWithParam<std::tuple<int, EntryPoint>> {};
 
 TEST_P(TwoLayerProbeTest, FindReadsAtMostTwoBucketsPerLookup) {
-  const int d = GetParam();
+  const auto [d, via] = GetParam();
   DyCuckooOptions o;
   o.num_subtables = d;
   // Single-threaded grid so global counters attribute cleanly.
@@ -33,9 +40,9 @@ TEST_P(TwoLayerProbeTest, FindReadsAtMostTwoBucketsPerLookup) {
   auto keys = UniqueKeys(20000, d);
   ASSERT_TRUE(t->BulkInsert(keys, SequentialValues(keys.size())).ok());
 
+  std::vector<uint8_t> found;
   auto before = gpusim::SimCounters::Get().Capture();
-  std::vector<uint8_t> found(keys.size());
-  t->BulkFind(keys, nullptr, found.data());
+  ASSERT_TRUE(FindVia(via, t.get(), keys, &found).ok());
   auto delta = gpusim::SimCounters::Get().Capture() - before;
 
   EXPECT_LE(delta.bucket_reads, 2 * keys.size())
@@ -44,7 +51,7 @@ TEST_P(TwoLayerProbeTest, FindReadsAtMostTwoBucketsPerLookup) {
 }
 
 TEST_P(TwoLayerProbeTest, MissedFindAlsoReadsExactlyTwoBuckets) {
-  const int d = GetParam();
+  const auto [d, via] = GetParam();
   DyCuckooOptions o;
   o.num_subtables = d;
   gpusim::Grid grid(1);
@@ -55,9 +62,9 @@ TEST_P(TwoLayerProbeTest, MissedFindAlsoReadsExactlyTwoBuckets) {
 
   auto misses = UniqueKeys(5000, 1234);
   std::erase(misses, 1u);  // keep the probe set disjoint from the contents
+  std::vector<uint8_t> found;
   auto before = gpusim::SimCounters::Get().Capture();
-  std::vector<uint8_t> found(misses.size());
-  t->BulkFind(misses, nullptr, found.data());
+  ASSERT_TRUE(FindVia(via, t.get(), misses, &found).ok());
   auto delta = gpusim::SimCounters::Get().Capture() - before;
   // A miss must scan both candidate buckets; never more (this is where a
   // plain d-table cuckoo would pay d reads).
@@ -65,7 +72,7 @@ TEST_P(TwoLayerProbeTest, MissedFindAlsoReadsExactlyTwoBuckets) {
 }
 
 TEST_P(TwoLayerProbeTest, EraseReadsAtMostTwoBucketsPerKey) {
-  const int d = GetParam();
+  const auto [d, via] = GetParam();
   DyCuckooOptions o;
   o.num_subtables = d;
   o.auto_resize = false;  // keep the counters free of resize traffic
@@ -78,14 +85,17 @@ TEST_P(TwoLayerProbeTest, EraseReadsAtMostTwoBucketsPerKey) {
 
   auto before = gpusim::SimCounters::Get().Capture();
   uint64_t erased = 0;
-  ASSERT_TRUE(t->BulkErase(keys, &erased).ok());
+  ASSERT_TRUE(EraseVia(via, t.get(), keys, &erased).ok());
   auto delta = gpusim::SimCounters::Get().Capture() - before;
   EXPECT_EQ(erased, keys.size());
   EXPECT_EQ(delta.bucket_reads, 2 * keys.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(SubtableCounts, TwoLayerProbeTest,
-                         ::testing::Values(2, 3, 4, 6, 8));
+INSTANTIATE_TEST_SUITE_P(
+    SubtableCounts, TwoLayerProbeTest,
+    ::testing::Combine(::testing::Values(2, 3, 4, 6, 8),
+                       ::testing::Values(EntryPoint::kBulkOp,
+                                         EntryPoint::kBulkExecute)));
 
 TEST(TwoLayerTest, KeysRemainFindableAcrossResizeStorms) {
   // Layer-1 pair assignment must be stable while subtable sizes churn.

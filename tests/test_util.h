@@ -6,12 +6,14 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 
 namespace dycuckoo {
 namespace testing {
@@ -60,6 +62,72 @@ inline std::vector<uint32_t> SequentialValues(uint64_t count,
     values[i] = start + static_cast<uint32_t>(i);
   }
   return values;
+}
+
+/// How a test reaches a table's batch kernel: the single-type Bulk* call,
+/// or BulkExecute with a batch holding only that op type.
+enum class EntryPoint { kBulkOp, kBulkExecute };
+
+inline void PrintTo(EntryPoint via, std::ostream* os) {
+  *os << (via == EntryPoint::kBulkOp ? "Bulk*" : "BulkExecute");
+}
+
+/// `Table::MixedOp`s of one `type`, one per key (values, when given, for
+/// inserts).
+template <typename Table>
+std::vector<typename Table::MixedOp> OneTypeOps(
+    typename Table::MixedOp::Type type, const std::vector<uint32_t>& keys,
+    const std::vector<uint32_t>* values = nullptr) {
+  std::vector<typename Table::MixedOp> ops(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ops[i].type = type;
+    ops[i].key = keys[i];
+    if (values != nullptr) ops[i].value = (*values)[i];
+  }
+  return ops;
+}
+
+/// BulkFind of `keys` through `via`: found flags into `found`, values into
+/// `values` (resized to keys.size()).
+template <typename Table>
+Status FindVia(EntryPoint via, Table* t, const std::vector<uint32_t>& keys,
+               std::vector<uint8_t>* found,
+               std::vector<uint32_t>* values = nullptr) {
+  found->assign(keys.size(), 0);
+  if (values != nullptr) values->assign(keys.size(), 0);
+  if (via == EntryPoint::kBulkOp) {
+    t->BulkFind(keys, values != nullptr ? values->data() : nullptr,
+                found->data());
+    return Status::OK();
+  }
+  auto ops = OneTypeOps<Table>(Table::MixedOp::Type::kFind, keys);
+  Status st = t->BulkExecute(ops);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    (*found)[i] = ops[i].hit;
+    if (values != nullptr && ops[i].hit) (*values)[i] = ops[i].value;
+  }
+  return st;
+}
+
+/// BulkErase of `keys` through `via`; `*erased` receives the keys removed.
+template <typename Table>
+Status EraseVia(EntryPoint via, Table* t, const std::vector<uint32_t>& keys,
+                uint64_t* erased) {
+  if (via == EntryPoint::kBulkOp) return t->BulkErase(keys, erased);
+  auto ops = OneTypeOps<Table>(Table::MixedOp::Type::kErase, keys);
+  Status st = t->BulkExecute(ops);
+  *erased = 0;
+  for (const auto& op : ops) *erased += op.hit;
+  return st;
+}
+
+/// BulkInsert of (`keys`, `values`) through `via`.
+template <typename Table>
+Status InsertVia(EntryPoint via, Table* t, const std::vector<uint32_t>& keys,
+                 const std::vector<uint32_t>& values) {
+  if (via == EntryPoint::kBulkOp) return t->BulkInsert(keys, values);
+  auto ops = OneTypeOps<Table>(Table::MixedOp::Type::kInsert, keys, &values);
+  return t->BulkExecute(ops);
 }
 
 /// Host-side reference map for differential testing.
